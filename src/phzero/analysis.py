@@ -17,6 +17,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import (
@@ -34,6 +35,16 @@ STABILITY_MARGIN = 1e-9
 
 #: Relative singularity threshold for transmission-zero tests.
 ZERO_TEST_TOL = 1e-8
+
+#: Fixed points on the unit circle (at angles 1, 2 and 3 rad, none a root
+#: of unity) where the normal rank of a zero pencil is sampled: a regular
+#: pencil is singular at no more than n points, so it is nonsingular at
+#: one of these unless a root sits on each.
+NORMAL_RANK_POINTS = tuple(np.exp(1j * np.array([1.0, 2.0, 3.0])))
+
+#: Relative size of ``beta`` (``alpha``) below which a generalized
+#: eigenvalue ``alpha / beta`` counts as infinite (as zero).
+EIG_DROP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,12 +187,14 @@ def is_transmission_zero(sys: PHSystem, s: complex, tol: float = ZERO_TEST_TOL) 
 
 @dataclass(frozen=True)
 class TransmissionZeros:
-    """Roots of the zero-pencil determinant, in ``w`` and in ``s``.
+    """Finite transmission zeros, in ``w`` and in ``s``.
 
-    ``s_values`` are principal values; the full zero set repeats with
-    period ``2 pi / p`` along the imaginary axis.  ``identically_zero``
-    flags a transfer function that vanishes everywhere (the determinant is
-    the zero polynomial), in which case both root lists are empty.
+    ``w_roots`` are the finite, nonzero generalized eigenvalues of the
+    stacked zero pencil, listed with multiplicity.  ``s_values`` are
+    principal values; the full zero set repeats with period ``2 pi / p``
+    along the imaginary axis.  ``identically_zero`` flags a transfer
+    function that vanishes everywhere (the pencil has deficient normal
+    rank), in which case both root lists are empty.
     """
 
     w_roots: tuple
@@ -190,81 +203,51 @@ class TransmissionZeros:
     s_period: float
 
 
-def pencil_determinant_coeffs(kmat: np.ndarray, lmat: np.ndarray, samples: int = 0):
-    """Coefficients (ascending in ``w``) of ``det(kmat + lmat w)``.
+def pencil_roots(kmat: np.ndarray, lmat: np.ndarray):
+    """Finite, nonzero ``w`` at which the square pencil ``kmat + lmat w``
+    is singular.
 
-    The determinant of an n-by-n pencil is a polynomial of degree at most
-    n; it is recovered exactly from values on the unit circle by inverse
-    FFT.  Returns ``(coeffs, scale)`` where ``scale`` is the largest
-    sampled determinant magnitude (zero for the zero polynomial).
+    Returns ``(roots, identically_zero)``.  The roots are the generalized
+    eigenvalues ``alpha / beta`` of ``(kmat, -lmat)`` from one QZ
+    decomposition, listed with multiplicity and sorted by (real, imag).
+    Infinite eigenvalues (``beta`` negligible) and eigenvalues at the
+    origin (``alpha`` negligible, i.e. at infinite real part in ``s``)
+    are dropped.  ``identically_zero`` is true when the pencil is
+    numerically singular at every one of :data:`NORMAL_RANK_POINTS`, i.e.
+    its normal rank is deficient and every ``w`` is a root; the root list
+    is then empty.
     """
-    n = kmat.shape[0]
-    count = max(int(samples), n + 1, 8)
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    dets = np.array([np.linalg.det(kmat + lmat * w) for w in nodes])
-    # p(w_j) sampled at the roots of unity: forward DFT / N recovers c_k.
-    coeffs = (np.fft.fft(dets) / count)[: n + 1]
-    scale = float(np.abs(dets).max())
-    if not (np.iscomplexobj(kmat) or np.iscomplexobj(lmat)):
-        coeffs = np.where(np.abs(coeffs.imag) <= 1e-8 * max(scale, 1.0), coeffs.real, coeffs)
-    return coeffs, scale
-
-
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, iterations: int = 4) -> np.ndarray:
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    out = roots.astype(complex).copy()
-    for _ in range(iterations):
-        pv = np.polynomial.polynomial.polyval(out, coeffs)
-        dv = np.polynomial.polynomial.polyval(out, deriv)
-        safe = np.abs(dv) > 1e-14 * (1.0 + np.abs(pv))
-        out[safe] -= pv[safe] / dv[safe]
-    return out
-
-
-def pencil_roots(kmat: np.ndarray, lmat: np.ndarray, samples: int = 0):
-    """Finite roots (in ``w``) of ``det(kmat + lmat w)``.
-
-    Returns ``(roots, identically_zero)``.  Roots are deduplicated and
-    sorted by (real, imag); a ``w^q`` factor (roots exactly at the origin,
-    i.e. at infinite real part in ``s``) is stripped before root finding.
-    """
-    coeffs, scale = pencil_determinant_coeffs(kmat, lmat, samples)
-    bound = max(linalg.two_norm(kmat) + linalg.two_norm(lmat), 1.0) ** kmat.shape[0]
-    if scale <= 1e-10 * bound:
-        return (), True
-    cmax = np.abs(coeffs).max()
-    keep = np.abs(coeffs) > 1e-12 * cmax
-    lead = int(np.nonzero(keep)[0].max())
-    low = int(np.nonzero(keep)[0].min())
-    reduced = coeffs[low : lead + 1]
-    if reduced.size <= 1:
+    if kmat.shape[0] == 0:
         return (), False
-    roots = np.polynomial.polynomial.polyroots(reduced)
-    roots = _polish_roots(reduced, roots)
+    for w in NORMAL_RANK_POINTS:
+        sv = np.linalg.svd(kmat + lmat * w, compute_uv=False)
+        if sv[-1] > ZERO_TEST_TOL * sv[0]:
+            break
+    else:
+        return (), True
+    alpha, beta = scipy.linalg.eig(kmat, -lmat, right=False, homogeneous_eigvals=True)
+    size = np.hypot(np.abs(alpha), np.abs(beta))
+    finite = (np.abs(beta) > EIG_DROP_TOL * size) & (np.abs(alpha) > EIG_DROP_TOL * size)
+    roots = [complex(a / b) for a, b in zip(alpha[finite], beta[finite])]
+    roots.sort(key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+    return tuple(roots), False
 
-    ordered = sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
-    unique: list[complex] = []
-    for z in ordered:
-        if unique and abs(z - unique[-1]) <= 1e-7 * (1.0 + abs(z)):
-            continue
-        unique.append(complex(z))
-    return tuple(unique), False
 
-
-def scan_zeros(sys: PHSystem, wgrid: int = 64) -> TransmissionZeros:
+def scan_zeros(sys: PHSystem) -> TransmissionZeros:
     """Find all finite transmission zeros of a SISO system.
 
-    Works on the polynomial determinant of the zero pencil in
-    ``w = exp(-s p)`` (degree at most n), so the search is global: FFT
-    interpolation for the coefficients on a ``wgrid``-point circle,
-    companion-matrix roots, a few Newton polish steps.  Roots at ``w = 0``
-    correspond to zeros at infinite real part and are not reported.
+    The zeros are the points ``w = exp(-s p)`` where the square stacked
+    pencil ``[K0; Ky] + [L0; Ly] w`` loses rank, computed by
+    :func:`pencil_roots` as its finite generalized eigenvalues; the
+    identically-zero verdict comes from the pencil's normal rank.  Roots
+    at ``w = 0`` correspond to zeros at infinite real part and are not
+    reported.
     """
     if sys.m != 1:
         raise UnsupportedSystemError("zero scan is defined for SISO systems")
     kmat = np.vstack([sys.K0, sys.Ky])
     lmat = np.vstack([sys.L0, sys.Ly])
-    roots, vanishes = pencil_roots(kmat, lmat, wgrid)
+    roots, vanishes = pencil_roots(kmat, lmat)
     period = 2.0 * np.pi / sys.p
     s_values = tuple(-np.log(z) / sys.p for z in roots)
-    return TransmissionZeros(tuple(roots), s_values, vanishes, period)
+    return TransmissionZeros(roots, s_values, vanishes, period)

@@ -8,7 +8,7 @@ Subcommands::
                                         quadruple, spectral radius, stability
     zerodyn <file> [--s0-max R] [-o out]   zero-dynamics reduction report
     vstar <file>                        output-nulling subspace basis
-    zeros <file> [--wgrid N]            transmission zeros (w roots, s values)
+    zeros <file>                        transmission zeros (w roots, s values)
     simulate <file> --initial F [...]   trajectory export + max |y| summary
 
 Exit codes: 0 success, 1 usage, 2 schema/parse error, 3 precondition
@@ -105,11 +105,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    loaded = model.load_system(args.file)
-    if isinstance(loaded, model.PHSystem):
-        uniform = loaded
-    else:
-        uniform = canonicalize.split_commensurate(canonicalize.reflect_positive(loaded))
+    uniform, _ = _load_uniform(args.file)
     out_doc = model.system_doc(uniform)
     if args.output:
         model.save_system(uniform, args.output)
@@ -213,7 +209,7 @@ def _cmd_vstar(args) -> int:
 
 def _cmd_zeros(args) -> int:
     system, canonicalized = _load_uniform(args.file)
-    scan = analysis.scan_zeros(system, wgrid=args.wgrid)
+    scan = analysis.scan_zeros(system)
     findings = {
         "canonicalized": canonicalized,
         "identically_zero": scan.identically_zero,
@@ -293,8 +289,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _positive_tol(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"tol must be positive, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
-    tol_default = float(os.environ.get("PHZERO_TOL", linalg.DEFAULT_TOL))
+    # a string default goes through ``type`` too, so PHZERO_TOL is checked
+    # like the flag
+    tol_default = os.environ.get("PHZERO_TOL", str(linalg.DEFAULT_TOL))
     seed_default = int(os.environ.get("PHZERO_SEED", 0))
     parser = _Parser(prog="phzero", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"phzero {__version__}")
@@ -303,7 +308,7 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("file", help="system document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-        p.add_argument("--tol", type=float, default=tol_default,
+        p.add_argument("--tol", type=_positive_tol, default=tol_default,
                        help="relative rank tolerance (env PHZERO_TOL)")
         p.add_argument("--seed", type=int, default=seed_default,
                        help="seed recorded for reproducibility (env PHZERO_SEED)")
@@ -317,8 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s0-max", type=float, default=None, help="largest real shift scanned")
     p.add_argument("-o", "--output", help="write the reduction result document here")
     common(sub.add_parser("vstar", help="output-nulling subspace"))
-    p = common(sub.add_parser("zeros", help="transmission zeros"))
-    p.add_argument("--wgrid", type=int, default=64, help="sample count for the determinant scan")
+    common(sub.add_parser("zeros", help="transmission zeros"))
     p = common(sub.add_parser("simulate", help="exact characteristics simulation"))
     p.add_argument("--initial", required=True, help="initial profile document (JSON with 'z0')")
     p.add_argument("--steps", type=int, default=20)

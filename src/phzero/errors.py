@@ -14,7 +14,8 @@ class SingularMatrixError(ValueError):
 
 
 class UnsupportedSystemError(ValueError):
-    """The operation is not defined for this system (e.g. MIMO reduction)."""
+    """The operation is not defined for this system or input (e.g. MIMO
+    reduction, or a zeroing run from a profile outside the nulling set)."""
 
 
 class ReductionError(RuntimeError):

@@ -143,8 +143,9 @@ def simulate_zeroing(
     only be kept below roughly ``eps * g**steps`` times the initial
     profile; no floating-point evolution can do better.
 
-    Raises ``ValueError`` (reporting the projection distance) when any
-    cell of ``z0`` is outside the nulling set.
+    Raises :class:`UnsupportedSystemError` (a ``ValueError``, reporting
+    the projection distance) when any cell of ``z0`` is outside the
+    nulling set.
     """
     d = analysis.discrete_reduce(sys)
     state0 = initial_profile_to_state(z0)
@@ -152,7 +153,7 @@ def simulate_zeroing(
     scale = max(1.0, float(np.abs(state0).max()) if state0.size else 0.0)
     distance = v.distance(state0)
     if distance > MEMBERSHIP_TOL * scale:
-        raise ValueError(
+        raise UnsupportedSystemError(
             f"initial profile is outside the output-nulling set "
             f"(projection distance {distance:.3e})"
         )

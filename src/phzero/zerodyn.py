@@ -173,16 +173,6 @@ class ZeroDynamicsResult:
             w = (mat @ w)[: mat.shape[0] - 1]
         return w
 
-    @cached_property
-    def state_injection(self) -> np.ndarray:
-        """The n-by-k right inverse of ``reduced_state_map`` whose range is
-        the zero-dynamics state set: ``z = injection @ w`` there."""
-        n = self.k + self.constraints.shape[0]
-        phi = np.eye(n)
-        for mat in self.transform_chain:
-            phi = phi @ np.linalg.inv(mat)[:, : mat.shape[0] - 1]
-        return phi
-
     def nulling_subspace(self, tol: float = linalg.DEFAULT_TOL) -> Subspace:
         """Pointwise state set of the zero dynamics (kernel of the
         constraint rows)."""
@@ -418,16 +408,18 @@ class CrossCheckReport:
     constraint_residual: float
     w_roots_reduced: tuple
     w_roots_scan: tuple
-    identically_zero: bool
 
 
-def cross_check(sys: PHSystem, wgrid: int = 64) -> CrossCheckReport:
+def cross_check(sys: PHSystem) -> CrossCheckReport:
     """Verify that the two zero-dynamics routes agree on a SISO system.
 
     Asserts (raising :class:`ConsistencyError` otherwise) that the
     output-nulling subspace dimension equals the reduced order, that the
-    constraint rows annihilate the subspace, and that every root of
-    ``det(Kw + Lw w)`` is a transmission zero of the original system.
+    constraint rows annihilate the subspace, that neither the original
+    nor the reduced pencil is identically singular (``reduce`` succeeds
+    only on a transfer function that is not identically zero), and that
+    every root of ``det(Kw + Lw w)`` is a transmission zero of the
+    original system.
     """
     if sys.m != 1:
         raise UnsupportedSystemError("cross_check is defined for SISO systems")
@@ -445,8 +437,14 @@ def cross_check(sys: PHSystem, wgrid: int = 64) -> CrossCheckReport:
                 f"constraint rows do not annihilate the nulling subspace "
                 f"({residual:.3e})"
             )
-    roots_reduced, vanishes = analysis.pencil_roots(res.Kw, res.Lw, wgrid)
-    scan = analysis.scan_zeros(sys, wgrid)
+    roots_reduced, vanishes = analysis.pencil_roots(res.Kw, res.Lw)
+    scan = analysis.scan_zeros(sys)
+    if vanishes or scan.identically_zero:
+        raise ConsistencyError(
+            f"reduction succeeded with order {res.k}, but the "
+            f"{'reduced' if vanishes else 'original'} zero pencil is "
+            f"identically singular"
+        )
     for w in roots_reduced:
         s = -np.log(w) / sys.p
         try:
@@ -464,7 +462,6 @@ def cross_check(sys: PHSystem, wgrid: int = 64) -> CrossCheckReport:
         k=res.k,
         vstar_dim=v.dim,
         constraint_residual=residual,
-        w_roots_reduced=tuple(roots_reduced),
-        w_roots_scan=tuple(scan.w_roots),
-        identically_zero=scan.identically_zero or vanishes,
+        w_roots_reduced=roots_reduced,
+        w_roots_scan=scan.w_roots,
     )

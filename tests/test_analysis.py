@@ -15,7 +15,7 @@ from phzero import (
     simulate,
     transfer_eval,
 )
-from phzero.analysis import transfer_eval_resolvent
+from phzero.analysis import pencil_roots, transfer_eval_resolvent
 from phzero.ensembles import random_square_system
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -212,6 +212,17 @@ def test_scan_zeros_agrees_with_singularity_test(split_sys):
 def test_scan_zeros_requires_siso(rng):
     with pytest.raises(UnsupportedSystemError):
         scan_zeros(random_square_system(rng, n=4, m=2))
+
+
+def test_pencil_roots_multiplicity_and_dropped_eigenvalues():
+    # det(K + L w) = (1 - w)^2 w: the double root is listed twice, the root
+    # at w = 0 and the infinite eigenvalue of the last block are dropped
+    kmat = np.diag([1.0, 1.0, 0.0, 1.0])
+    lmat = np.diag([-1.0, -1.0, 1.0, 0.0])
+    kmat[0, 1] = 1.0
+    roots, vanishes = pencil_roots(kmat, lmat)
+    assert not vanishes
+    assert_allclose(roots, [1.0, 1.0], atol=1e-9)
 
 
 # ------------------------------------------------------------ feedthrough <-> stack

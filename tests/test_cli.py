@@ -167,6 +167,19 @@ def test_zeros_split_values(capsys):
     assert np.allclose(roots, [(-1 - np.sqrt(5)) / 2, (-1 + np.sqrt(5)) / 2], atol=1e-9)
 
 
+def test_zeros_large_random_system(capsys, tmp_path):
+    from phzero.ensembles import random_siso_system
+    from phzero.model import save_system
+
+    path = tmp_path / "n160.json"
+    save_system(random_siso_system(np.random.default_rng(5), n=160), path)
+    code, out, err = run(capsys, "zeros", str(path), "--json")
+    assert code == 0, err
+    findings = json.loads(out)["findings"]
+    assert not findings["identically_zero"]
+    assert len(findings["w_roots"]) == 159
+
+
 def test_vstar_report(capsys):
     code, out, _ = run(capsys, "vstar", str(CORPUS_DIR / "two_speed_network.json"), "--json")
     doc = json.loads(out)
@@ -213,6 +226,28 @@ def test_simulate_profile_shape_error(capsys, tmp_path):
                        "--initial", str(profile))
     assert code == 2
     assert "z0" in err
+
+
+def test_simulate_zeroing_outside_nulling_set_exit_code(capsys, tmp_path):
+    profile = tmp_path / "ones.json"
+    profile.write_text(json.dumps({"z0": np.ones((10, 4)).tolist()}))
+    code, _, err = run(capsys, "simulate", str(CORPUS_DIR / "sparse_ten_channel.json"),
+                       "--initial", str(profile), "--mode", "zeroing")
+    assert code == 3
+    assert err.startswith("error: ") and "projection distance" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_nonpositive_tol_is_a_usage_error(capsys, monkeypatch, tol):
+    path = str(CORPUS_DIR / "split_three_channel.json")
+    code, _, err = run(capsys, "analyze", path, "--tol", tol)
+    assert code == 1
+    assert err.startswith("usage error: ") and "tol must be positive" in err
+    monkeypatch.setenv("PHZERO_TOL", tol)
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 1
+    assert err.startswith("usage error: ") and "tol must be positive" in err
 
 
 def test_tol_env_override(capsys, monkeypatch):

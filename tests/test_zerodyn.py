@@ -10,6 +10,7 @@ from phzero import (
     UnsupportedSystemError,
     cross_check,
     discrete_reduce,
+    is_transmission_zero,
     nulling_friend,
     output_nulling_stacks,
     scan_zeros,
@@ -321,6 +322,26 @@ def test_cross_check_random(rng):
         assert rep.k == rep.vstar_dim
         done += 1
     assert done >= 40
+
+
+def test_cross_check_certifies_every_zero_of_a_large_pencil():
+    # the pencil has full normal rank and 19 finite nonzero roots; no
+    # identically-zero verdict may hide them
+    sysr = random_siso_system(np.random.default_rng(20), n=20)
+    rep = cross_check(sysr)
+    assert rep.k == rep.vstar_dim == 19
+    assert len(rep.w_roots_reduced) == len(rep.w_roots_scan) == 19
+    for w in rep.w_roots_scan:
+        assert is_transmission_zero(sysr, -np.log(w) / sysr.p)
+
+
+def test_cross_check_rejects_identically_zero_verdict(split_sys, monkeypatch):
+    from phzero import analysis
+
+    silent = analysis.TransmissionZeros((), (), True, 2 * np.pi)
+    monkeypatch.setattr(analysis, "scan_zeros", lambda sys: silent)
+    with pytest.raises(ConsistencyError, match="identically singular"):
+        cross_check(split_sys)
 
 
 def test_reduced_pencil_matches_full_pencil_roots(split_sys):
