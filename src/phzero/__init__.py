@@ -72,4 +72,19 @@ from .zerodyn import (
     vstar_from_quadruple,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConsistencyError", "CrossCheckReport", "DiagonalizedConstant",
+    "DiscreteSystem", "IllPosedError", "LUFactors", "MultiSpeedSystem",
+    "NullingFriend", "PHSystem", "RationalSpeed", "RawConstantSystem",
+    "ReductionError", "SchemaError", "SingularMatrixError", "Subspace",
+    "Trajectory", "TransferSample", "TransmissionZeros",
+    "UnsupportedSystemError", "ZeroDynamicsResult", "check_well_posed",
+    "cross_check", "diagonalize_constant", "discrete_reduce", "feedthrough",
+    "is_exponentially_stable", "is_transmission_zero", "load_result",
+    "load_system", "lu_decompose", "nulling_friend", "nullspace",
+    "output_nulling_stacks", "preimage", "rank", "reduce", "reflect_positive",
+    "save_result", "save_system", "scan_zeros", "schur_block_inverse",
+    "simulate", "simulate_zeroing", "spectral_radius", "split_commensurate",
+    "subspace_intersect", "transfer_eval", "validate", "vstar_discrete",
+    "vstar_from_quadruple",
+]

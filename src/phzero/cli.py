@@ -20,7 +20,6 @@ identical inputs and flags.  ``--tol`` and ``--seed`` fall back to the
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -232,16 +231,10 @@ def _cmd_zeros(args) -> int:
 
 
 def _load_profile(path: str, n: int, grid: int | None) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or "z0" not in doc:
+    doc = model._load_json(path)
+    if "z0" not in doc:
         raise SchemaError(f"{path}: expected an object with field 'z0'")
-    z0 = np.asarray(doc["z0"], dtype=float)
+    z0 = model._float_array(doc["z0"], "z0")
     if z0.ndim != 2 or z0.shape[0] != n:
         raise SchemaError(f"field 'z0': expected {n} rows, got shape {z0.shape}")
     if grid is not None and z0.shape[1] != grid:
@@ -297,10 +290,10 @@ def _positive_tol(text: str) -> float:
 
 
 def build_parser() -> _Parser:
-    # a string default goes through ``type`` too, so PHZERO_TOL is checked
-    # like the flag
+    # a string default goes through ``type`` too, so PHZERO_TOL and
+    # PHZERO_SEED are checked like the flags
     tol_default = os.environ.get("PHZERO_TOL", str(linalg.DEFAULT_TOL))
-    seed_default = int(os.environ.get("PHZERO_SEED", 0))
+    seed_default = os.environ.get("PHZERO_SEED", "0")
     parser = _Parser(prog="phzero", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"phzero {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

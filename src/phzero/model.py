@@ -226,6 +226,18 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _float_array(raw, name: str) -> np.ndarray:
+    """``raw`` as a float array; non-numeric, ragged or non-finite data is
+    a schema error."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"field '{name}': expected a matrix of numbers ({exc})") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"field '{name}': entries must be finite")
+    return arr
+
+
 def _field_matrix(doc: dict, name: str, rows: int, cols: int) -> np.ndarray:
     if name not in doc:
         raise SchemaError(f"missing field '{name}'")
@@ -236,14 +248,12 @@ def _field_matrix(doc: dict, name: str, rows: int, cols: int) -> np.ndarray:
         if raw not in ([], [[]]):
             raise SchemaError(f"field '{name}': expected an empty matrix")
         return np.zeros((0, cols))
-    arr = np.asarray(raw, dtype=float)
+    arr = _float_array(raw, name)
     if arr.ndim != 2 or arr.shape != (rows, cols):
         raise SchemaError(
             f"field '{name}': expected a {rows}x{cols} matrix, got shape "
             f"{arr.shape if arr.ndim == 2 else raw!r}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"field '{name}': entries must be finite")
     return arr
 
 

@@ -249,14 +249,17 @@ def _row_reduce_pair(kc, lc, tol):
 
 def _column_candidates(top, tol):
     """Column swaps (with the last column) making the leading block
-    invertible, best last-pivot first; ``None`` means no swap and wins
-    whenever it is admissible."""
+    invertible, best last-pivot first; ``None`` means no swap and comes
+    first whenever it is admissible.
+
+    A generator: the swaps are rank-checked and scored only when the
+    caller asks for the candidate after ``None``, so an elimination that
+    succeeds without a swap costs one rank check instead of ``d`` rank
+    checks and up to ``d - 1`` LU factorizations.
+    """
     d = top.shape[1]
-    out = []
     if d == 1 or linalg.rank(top[:, : d - 1], tol) == d - 1:
-        out.append(None)
-    if d == 1:
-        return out
+        yield None
     scored = []
     for col in range(d - 1):
         order = list(range(d))
@@ -266,9 +269,7 @@ def _column_candidates(top, tol):
             continue
         last_pivot = float(np.abs(np.diag(linalg.lu_decompose(block).upper))[-1])
         scored.append((-last_pivot, col))
-    scored.sort()
-    out.extend(col for _, col in scored)
-    return out
+    yield from (col for _, col in sorted(scored))
 
 
 def reduce(
@@ -284,6 +285,10 @@ def reduce(
     only) one state variable is eliminated per iteration until the
     reduced ``Kw`` is invertible; each iteration records the eliminated
     combination as a constraint row and a local transform in the chain.
+
+    Each elimination first tries the leading block as it stands (no
+    column swap) over the whole shift scan; column swaps are ranked and
+    tried only if that fails, so the usual elimination never scores them.
 
     Raises :class:`ReductionError` when no real shift in ``[0, s0_max]``
     makes the transformed pencil invertible for any admissible column

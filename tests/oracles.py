@@ -1,5 +1,9 @@
 """Independent oracles used by the test suite.
 
+:func:`column_candidates_eager` scores every column swap up front, which
+is how ``reduce`` ranked its candidates before the scoring became lazy;
+it pins the candidate order of ``zerodyn._column_candidates``.
+
 The multirate simulator below never forms the split system: each channel
 is an exact delay line of ``travel_time / h`` cells (``h`` divides every
 travel time), and the boundary condition is solved per step for the
@@ -9,7 +13,33 @@ transformation and the uniform-grid simulator are checked.
 
 import numpy as np
 
+from phzero import linalg
 from phzero.canonicalize import common_travel_time
+
+
+def column_candidates_eager(top, tol):
+    """All admissible column swaps of ``top`` in ``reduce``'s order:
+    ``None`` (no swap) first if the leading block has full rank, then the
+    swaps with the last column by decreasing last LU pivot, ties by
+    column index."""
+    d = top.shape[1]
+    out = []
+    if d == 1 or linalg.rank(top[:, : d - 1], tol) == d - 1:
+        out.append(None)
+    if d == 1:
+        return out
+    scored = []
+    for col in range(d - 1):
+        order = list(range(d))
+        order[col], order[d - 1] = order[d - 1], order[col]
+        block = top[:, order[: d - 1]]
+        if linalg.rank(block, tol) != d - 1:
+            continue
+        last_pivot = float(np.abs(np.diag(linalg.lu_decompose(block).upper))[-1])
+        scored.append((-last_pivot, col))
+    scored.sort()
+    out.extend(col for _, col in scored)
+    return out
 
 
 def multispeed_output(ms, z0_cells, u_seq, grid_n):

@@ -260,3 +260,27 @@ def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PHZERO_SEED", "7")
     args = cli.build_parser().parse_args(["analyze", "x.json"])
     assert args.seed == 7
+
+
+def test_non_integer_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PHZERO_SEED", "abc")
+    code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "ring_three_channel.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and "'abc'" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "z0",
+    [[["a", 1.0]] * 3, [[1.0, 2.0], [3.0], [4.0, 5.0]], [[float("nan"), 1.0]] * 3],
+    ids=["non-numeric", "ragged", "non-finite"],
+)
+def test_simulate_unreadable_profile_is_a_schema_error(capsys, tmp_path, z0):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": z0}))
+    code, _, err = run(capsys, "simulate", str(CORPUS_DIR / "split_three_channel.json"),
+                       "--initial", str(profile))
+    assert code == 2
+    assert err.startswith("error: field 'z0'")
+    assert len(err.splitlines()) == 1

@@ -85,6 +85,8 @@ def test_full_pipeline_from_raw_system(rng):
     (lambda d: d.update(K0=[[float("nan"), 0, 0], [0, 1, 0]]), "finite"),
     (lambda d: d.pop("Ly"), "'Ly'"),
     (lambda d: d.update(Ku="not a matrix"), "'Ku'"),
+    (lambda d: d["L0"].__setitem__(1, ["a", 0, 1]), "'L0'.*numbers"),
+    (lambda d: d["L0"].__setitem__(1, [1.0]), "'L0'.*numbers"),
 ])
 def test_loader_rejects_malformed_documents(tmp_path, split_sys, mutate, message):
     doc = system_doc(split_sys)
@@ -139,3 +141,13 @@ def test_larger_order_smoke(rng):
 
 def test_corpus_dir_exists():
     assert CORPUS_DIR.is_dir() and list(CORPUS_DIR.glob("*.json"))
+
+
+def test_public_names_are_explicit():
+    import types
+
+    import phzero
+
+    assert len(phzero.__all__) == len(set(phzero.__all__)) == 50
+    for name in phzero.__all__:
+        assert not isinstance(getattr(phzero, name), types.ModuleType), name

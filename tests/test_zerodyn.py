@@ -277,6 +277,80 @@ def test_row_reduction_orthogonal_fallback(rng):
     assert zd_rank(rk[:-1]) == d - 1
 
 
+def test_reduce_scores_no_swap_when_none_is_accepted(monkeypatch):
+    from phzero import linalg
+
+    # Ky = c K0 makes the leading block admissible, so the one elimination
+    # is accepted without a swap and the swap columns are never scored:
+    # the only LU left is the row reduction
+    sysr = random_siso_system(np.random.default_rng(11), n=40)
+    calls = []
+    lu = linalg.lu_decompose
+
+    def counting_lu(mat):
+        calls.append(np.shape(mat))
+        return lu(mat)
+
+    monkeypatch.setattr(linalg, "lu_decompose", counting_lu)
+    res = zd_reduce(sysr)
+    assert res.k == 39 and len(res.transform_chain) == 1
+    assert calls == [(40, 40)]
+
+
+def _unit_ring(n, d, rng):
+    """Ring ``z_i(0) = s_i z_{i-1}(1)`` (random signs), input into channel
+    0, output ``2 z_{d-1}(1)``: ``d`` eliminations, many needing a swap."""
+    signs = rng.choice([-1.0, 1.0], size=n)
+    k = np.zeros((n, n))
+    l = np.zeros((n, n))
+    for row, i in enumerate(list(range(1, n)) + [0]):
+        k[row, i] = 1.0
+        l[row, i - 1] = -signs[i]
+    ly = np.zeros((1, n))
+    ly[0, d - 1] = 2.0
+    return PHSystem(p=1.0, K0=k[: n - 1], L0=l[: n - 1], Ku=k[n - 1 :],
+                    Lu=l[n - 1 :], Ky=np.zeros((1, n)), Ly=ly)
+
+
+def test_column_candidates_order_matches_eager_scoring(corpus_dir, monkeypatch):
+    from phzero import canonicalize, load_system, zerodyn
+
+    from oracles import column_candidates_eager
+
+    lazy = zerodyn._column_candidates
+    tops = []
+
+    def recording(top, tol):
+        tops.append((top.copy(), tol))
+        return lazy(top, tol)
+
+    monkeypatch.setattr(zerodyn, "_column_candidates", recording)
+    systems = []
+    for path in sorted(corpus_dir.glob("*.json")):
+        loaded = load_system(path)
+        if not isinstance(loaded, PHSystem):
+            loaded = canonicalize.split_commensurate(canonicalize.reflect_positive(loaded))
+        systems.append(loaded)
+    rng = np.random.default_rng(3)
+    systems += [_unit_ring(64, d, rng) for d in (8, 16, 24)]
+    for sysr in systems:
+        zd_reduce(sysr)
+
+    # random tops whose leading block repeats a column, so no swap is
+    # admissible and only the scored swaps remain
+    for d in (3, 5, 12):
+        top = rng.standard_normal((d - 1, d))
+        top[:, d - 2] = top[:, 0]
+        tops.append((top, 1e-10))
+
+    kinds = set()
+    for top, tol in tops:
+        expected = column_candidates_eager(top, tol)
+        assert list(lazy(top, tol)) == expected
+        kinds.add(bool(expected) and expected[0] is None)
+    assert kinds == {True, False}
+
+
 def test_vstar_and_friend_mimo(rng):
     # the subspace machinery and the invariance feedback are not tied to
     # single-input systems
