@@ -45,7 +45,8 @@ def run(path: Path) -> None:
     res = pz.reduce(system)
     print(f"  zero dynamics: k = {res.k} of n = {system.n}"
           + (" (full state space)" if res.full_state else
-             f", {len(res.transform_chain)} elimination(s), shifts {list(res.s0_used)}"))
+             f", {len(res.transform_chain)} elimination(s), "
+             f"deflation residual {res.deflation_residual:.1e}"))
     if res.constraints.size:
         show("constraint rows", res.constraints)
         show("Kw", res.Kw)

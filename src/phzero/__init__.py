@@ -20,6 +20,7 @@ from .analysis import (
     feedthrough,
     is_exponentially_stable,
     is_transmission_zero,
+    output_nulling_stacks,
     scan_zeros,
     transfer_eval,
 )
@@ -38,13 +39,10 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .linalg import (
-    LUFactors,
     Subspace,
-    lu_decompose,
     nullspace,
     preimage,
     rank,
-    schur_block_inverse,
     spectral_radius,
     subspace_intersect,
 )
@@ -66,7 +64,6 @@ from .zerodyn import (
     ZeroDynamicsResult,
     cross_check,
     nulling_friend,
-    output_nulling_stacks,
     reduce,
     vstar_discrete,
     vstar_from_quadruple,
@@ -74,16 +71,16 @@ from .zerodyn import (
 
 __all__ = [
     "ConsistencyError", "CrossCheckReport", "DiagonalizedConstant",
-    "DiscreteSystem", "IllPosedError", "LUFactors", "MultiSpeedSystem",
+    "DiscreteSystem", "IllPosedError", "MultiSpeedSystem",
     "NullingFriend", "PHSystem", "RationalSpeed", "RawConstantSystem",
     "ReductionError", "SchemaError", "SingularMatrixError", "Subspace",
     "Trajectory", "TransferSample", "TransmissionZeros",
     "UnsupportedSystemError", "ZeroDynamicsResult", "check_well_posed",
     "cross_check", "diagonalize_constant", "discrete_reduce", "feedthrough",
     "is_exponentially_stable", "is_transmission_zero", "load_result",
-    "load_system", "lu_decompose", "nulling_friend", "nullspace",
+    "load_system", "nulling_friend", "nullspace",
     "output_nulling_stacks", "preimage", "rank", "reduce", "reflect_positive",
-    "save_result", "save_system", "scan_zeros", "schur_block_inverse",
+    "save_result", "save_system", "scan_zeros",
     "simulate", "simulate_zeroing", "spectral_radius", "split_commensurate",
     "subspace_intersect", "transfer_eval", "validate", "vstar_discrete",
     "vstar_from_quadruple",

@@ -166,10 +166,17 @@ def transfer_eval_resolvent(d: DiscreteSystem, s: complex) -> np.ndarray:
     return d.Dd + d.Cd @ resolvent
 
 
+def output_nulling_stacks(sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]`` driving the
+    incoming/outgoing trace recursion of the zero dynamics."""
+    return -np.vstack([sys.K0, sys.Ky]), np.vstack([sys.L0, sys.Ly])
+
+
 def zero_pencil(sys: PHSystem, w: complex) -> np.ndarray:
     """Stacked pencil ``[K0 + L0 w; Ky + Ly w]`` whose singularity marks
     transmission zeros."""
-    return np.vstack([sys.K0 + sys.L0 * w, sys.Ky + sys.Ly * w])
+    e, f = output_nulling_stacks(sys)
+    return f * w - e
 
 
 def is_transmission_zero(sys: PHSystem, s: complex, tol: float = ZERO_TEST_TOL) -> bool:
@@ -245,9 +252,8 @@ def scan_zeros(sys: PHSystem) -> TransmissionZeros:
     """
     if sys.m != 1:
         raise UnsupportedSystemError("zero scan is defined for SISO systems")
-    kmat = np.vstack([sys.K0, sys.Ky])
-    lmat = np.vstack([sys.L0, sys.Ly])
-    roots, vanishes = pencil_roots(kmat, lmat)
+    e, f = output_nulling_stacks(sys)
+    roots, vanishes = pencil_roots(-e, f)
     period = 2.0 * np.pi / sys.p
     s_values = tuple(-np.log(z) / sys.p for z in roots)
     return TransmissionZeros(roots, s_values, vanishes, period)

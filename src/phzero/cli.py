@@ -6,13 +6,13 @@ Subcommands::
     split <file> [-o out]               uniform-travel-time system file
     analyze <file>                      well-posedness, feedthrough, traversal
                                         quadruple, spectral radius, stability
-    zerodyn <file> [--s0-max R] [-o out]   zero-dynamics reduction report
+    zerodyn <file> [-o out]             zero-dynamics reduction report
     vstar <file>                        output-nulling subspace basis
     zeros <file>                        transmission zeros (w roots, s values)
     simulate <file> --initial F [...]   trajectory export + max |y| summary
 
 Exit codes: 0 success, 1 usage, 2 schema/parse error, 3 precondition
-failure (ill-posed, unsupported, shift scan exhausted), 4 internal
+failure (ill-posed, unsupported, singular zero pencil), 4 internal
 assertion.  Machine-readable reports (``--json``) are byte-identical for
 identical inputs and flags.  ``--tol`` and ``--seed`` fall back to the
 ``PHZERO_TOL`` / ``PHZERO_SEED`` environment variables.
@@ -165,7 +165,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_zerodyn(args) -> int:
     system, canonicalized = _load_uniform(args.file)
-    result = zerodyn.reduce(system, s0_max=args.s0_max, tol=args.tol)
+    result = zerodyn.reduce(system, tol=args.tol)
     fk, fl = result.input_functional_original()
     res_doc = model.result_doc(result)
     if args.output:
@@ -179,7 +179,8 @@ def _cmd_zerodyn(args) -> int:
     lines = [
         f"reduced order k = {result.k} of n = {system.n}"
         + (" (full state space)" if result.full_state else ""),
-        f"iterations: {len(result.transform_chain)}  shifts used: {list(result.s0_used)}",
+        f"eliminations: {len(result.transform_chain)}  "
+        f"deflation residual: {result.deflation_residual:.3e}",
         *_matrix_lines("Kw", result.Kw),
         *_matrix_lines("Lw", result.Lw),
         *_matrix_lines("constraints (unit rows, vanish on the zero dynamics)", result.constraints),
@@ -194,7 +195,7 @@ def _cmd_zerodyn(args) -> int:
 
 def _cmd_vstar(args) -> int:
     system, canonicalized = _load_uniform(args.file)
-    v = zerodyn.vstar_discrete(*zerodyn.output_nulling_stacks(system), tol=args.tol)
+    v = zerodyn.vstar_discrete(*analysis.output_nulling_stacks(system), tol=args.tol)
     doc = _report(
         "vstar",
         {args.file: _digest(args.file)},
@@ -282,6 +283,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _steps(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"steps must be non-negative, got {text}")
+    return value
+
+
 def _positive_tol(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -312,13 +320,12 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="write the uniform system document here")
     common(sub.add_parser("analyze", help="well-posedness, feedthrough, stability"))
     p = common(sub.add_parser("zerodyn", help="construct the zero dynamics"))
-    p.add_argument("--s0-max", type=float, default=None, help="largest real shift scanned")
     p.add_argument("-o", "--output", help="write the reduction result document here")
     common(sub.add_parser("vstar", help="output-nulling subspace"))
     common(sub.add_parser("zeros", help="transmission zeros"))
     p = common(sub.add_parser("simulate", help="exact characteristics simulation"))
     p.add_argument("--initial", required=True, help="initial profile document (JSON with 'z0')")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_steps, default=20, help="traversals to simulate")
     p.add_argument("--grid", type=int, default=None, help="expected cells per channel")
     p.add_argument("--mode", choices=["open", "zeroing"], default="open")
     p.add_argument("--feedback", choices=["reduction", "friend"], default="reduction")

@@ -19,9 +19,8 @@ class UnsupportedSystemError(ValueError):
 
 
 class ReductionError(RuntimeError):
-    """The state-space reduction cannot proceed (e.g. the frequency scan
-    found no admissible shift, which indicates an identically zero
-    input-output map)."""
+    """The state-space reduction cannot proceed (the stacked zero pencil
+    is singular, which indicates an identically zero input-output map)."""
 
 
 class ConsistencyError(AssertionError):

@@ -66,62 +66,6 @@ def solve(a, b):
     return np.linalg.solve(a, np.asarray(b))
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """Row-pivoted triangular factorization ``M[perm] = lower @ upper``.
-
-    ``perm`` maps factored row positions to input row positions, ``lower``
-    is unit lower triangular and ``upper`` is upper triangular (echelon on
-    rank-deficient input, with zero rows collected at the bottom whenever
-    the dependent rows are exact).
-    """
-
-    perm: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``lower @ upper`` in the original row order."""
-        out = np.empty_like(self.upper)
-        out[self.perm] = self.lower @ self.upper
-        return out
-
-
-def lu_decompose(mat) -> LUFactors:
-    """Factor a square or wide matrix as ``P M = L U`` with partial pivoting.
-
-    The pivot is the largest-magnitude entry of the active column, ties
-    broken by lowest row index.  An exactly zero active column is skipped
-    (the elimination advances to the next column without consuming a row),
-    so rank deficiency surfaces as zero pivots rather than an error and the
-    dependent rows of ``U`` end up at the bottom.
-    """
-    a = as_matrix(mat).copy()
-    m, n = a.shape
-    if m > n:
-        raise ValueError(f"expected a square or wide matrix, got shape {a.shape}")
-    perm = np.arange(m)
-    lower = np.eye(m, dtype=a.dtype)
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        mags = np.abs(a[row:, col])
-        piv = row + int(np.argmax(mags))
-        if mags[piv - row] == 0.0:
-            continue
-        if piv != row:
-            a[[row, piv], :] = a[[piv, row], :]
-            perm[[row, piv]] = perm[[piv, row]]
-            lower[[row, piv], :row] = lower[[piv, row], :row]
-        mult = a[row + 1 :, col] / a[row, col]
-        lower[row + 1 :, row] = mult
-        a[row + 1 :, col:] -= np.outer(mult, a[row, col:])
-        a[row + 1 :, col] = 0.0
-        row += 1
-    return LUFactors(perm=perm, lower=lower, upper=a)
-
-
 def rank(mat, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank via column-pivoted QR.
 
@@ -299,42 +243,3 @@ def spectral_radius(mat) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
-def schur_block_inverse(t, split: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two left blocks of ``inv(T)`` for a 2x2 block partition.
-
-    With ``T = [[T1, T2], [T3, T4]]`` (``T1`` of order ``split``) and the
-    complement ``S = T4 - T3 inv(T1) T2``::
-
-        X11 = inv(T1) (I + T2 inv(S) T3 inv(T1))
-        X21 = -inv(S) T3 inv(T1)
-
-    Raises :class:`SingularMatrixError` when ``T1`` or ``S`` is singular.
-    """
-    tm = as_matrix(t)
-    d = tm.shape[0]
-    if tm.shape[0] != tm.shape[1]:
-        raise ValueError("block inversion requires a square matrix")
-    if not 0 <= split <= d:
-        raise ValueError(f"split {split} out of range for order {d}")
-    t1 = tm[:split, :split]
-    t2 = tm[:split, split:]
-    t3 = tm[split:, :split]
-    t4 = tm[split:, split:]
-    if split and not is_invertible(t1):
-        raise SingularMatrixError("leading block T1 is numerically singular")
-    if split == d:
-        return np.linalg.solve(t1, np.eye(split, dtype=tm.dtype)), np.zeros((0, split), dtype=tm.dtype)
-    if split == 0:
-        if not is_invertible(t4):
-            raise SingularMatrixError("Schur complement is numerically singular")
-        return np.zeros((0, 0), dtype=tm.dtype), np.zeros((d, 0), dtype=tm.dtype)
-    x = np.linalg.solve(t1.T, t3.T).T  # T3 inv(T1)
-    s = t4 - x @ t2
-    if not is_invertible(s):
-        raise SingularMatrixError("Schur complement is numerically singular")
-    y = np.linalg.solve(s, x)  # inv(S) T3 inv(T1)
-    x11 = np.linalg.solve(t1, np.eye(split, dtype=tm.dtype) + t2 @ y)
-    x21 = -y
-    return x11, x21

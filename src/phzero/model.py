@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _mat(a) -> np.ndarray:
@@ -377,7 +377,7 @@ def result_doc(res) -> dict:
         "transform_chain": [m.tolist() for m in res.transform_chain],
         "Ku_tilde": _matrix_doc(res.Ku_tilde),
         "Lu_tilde": _matrix_doc(res.Lu_tilde),
-        "s0_used": list(res.s0_used),
+        "deflation_residual": res.deflation_residual,
         "schema_version": SCHEMA_VERSION,
     }
 
@@ -392,7 +392,7 @@ def load_result(path):
     doc = _load_json(path)
     k = _field_int(doc, "k")
     for name in ("p", "full_state", "Kw", "Lw", "constraints",
-                 "transform_chain", "Ku_tilde", "Lu_tilde", "s0_used"):
+                 "transform_chain", "Ku_tilde", "Lu_tilde", "deflation_residual"):
         if name not in doc:
             raise SchemaError(f"missing field '{name}'")
     constraints = doc["constraints"]
@@ -408,6 +408,6 @@ def load_result(path):
         transform_chain=tuple(np.asarray(mat, dtype=float) for mat in doc["transform_chain"]),
         Ku_tilde=_field_matrix(doc, "Ku_tilde", m, k),
         Lu_tilde=_field_matrix(doc, "Lu_tilde", m, k),
-        s0_used=tuple(float(s) for s in doc["s0_used"]),
         full_state=bool(doc["full_state"]),
+        deflation_residual=float(doc["deflation_residual"]),
     )

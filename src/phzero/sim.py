@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .errors import UnsupportedSystemError
 from .model import PHSystem
-from .zerodyn import ZeroDynamicsResult, nulling_friend, vstar_discrete, output_nulling_stacks
+from .zerodyn import ZeroDynamicsResult, nulling_friend, vstar_discrete
 
 #: Relative distance bound for initial profiles that must lie in the
 #: output-nulling set.
@@ -160,7 +160,7 @@ def simulate_zeroing(
     if mode == "reduction":
         feedback = zd.zeroing_feedback()
     elif mode == "friend":
-        friend = nulling_friend(d, vstar_discrete(*output_nulling_stacks(sys)))
+        friend = nulling_friend(d, vstar_discrete(*analysis.output_nulling_stacks(sys)))
         feedback = friend.Fd
     else:
         raise UnsupportedSystemError(f"unknown zeroing mode {mode!r}")

@@ -1,21 +1,24 @@
 """Zero dynamics: output-nulling subspaces, nulling feedback, and the
 constructive boundary-matrix reduction.
 
-Two independent routes characterize the same object:
+On a trajectory with zero output the traces obey ``E z(0,t) = F z(1,t)``
+with the stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]``.  When the pencil
+``F - lambda E`` is regular, one ordered QZ decomposition
+(:func:`_deflate`; Emami-Naeini & Van Dooren, Automatica 1982) gives
+everything in O(n^3): the right deflating subspace ``V`` of its finite
+eigenvalues and the matrix ``M`` with ``E V M = F V``.
 
-* :func:`vstar_discrete` iterates ``V <- V ∩ preimage(F, E V)`` on the
-  boundary/output stacks ``E = -[K0; Ky]``, ``F = [L0; Ly]``;
+* :func:`vstar_discrete` returns ``V``, the largest subspace with
+  ``F V ⊆ E V``; singular pencils fall back to the subspace iteration
+  ``V <- V ∩ preimage(F, E V)``;
 * :func:`vstar_from_quadruple` runs the classical output-nulling
-  iteration on the one-traversal quadruple ``(Ad, Bd, Cd, Dd)``.
-
-:func:`reduce` constructs the zero dynamics explicitly: treating ``y = 0``
-as an extra boundary row, it repeatedly eliminates one state variable per
-iteration (row reduction of the stacked pencil, a column permutation, a
-real shift ``s0`` making the transformed pencil invertible, and a Schur
-block inverse), until the reduced incoming-trace matrix ``Kw`` has full
-rank.  The by-products are the constraint rows (state combinations that
-vanish identically on the zero dynamics) and the functional expressing
-the output-zeroing input through the reduced boundary traces.
+  iteration on the one-traversal quadruple ``(Ad, Bd, Cd, Dd)``, an
+  independent route to the same subspace;
+* :func:`reduce` writes the zero dynamics as the boundary system
+  ``w(0,t) = M w(1,t)`` on the reduced state ``w = V^T z``.  The
+  by-products are the constraint rows (the complement of ``V``, which
+  vanishes identically on the zero dynamics) and the functional
+  expressing the output-zeroing input through the reduced traces.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from . import analysis, linalg
+from .analysis import output_nulling_stacks
 from .errors import (
     ConsistencyError,
     IllPosedError,
@@ -35,25 +39,82 @@ from .errors import (
 from .linalg import Subspace
 from .model import PHSystem
 
-#: Step of the real shift scan.
-S0_STEP = 0.5
+#: A generalized eigenvalue pair ``(alpha, beta)`` of ``F - lambda E`` with
+#: ``|(alpha, beta)|`` below this fraction of ``max(|E|, |F|)`` (Frobenius
+#: norms) is the rounding image of ``(0, 0)`` and marks a singular pencil.
+#: Regular pencils keep every pair many orders of magnitude above it.
+SINGULAR_PAIR_TOL = 1e-12
 
-#: Per-iteration residual bound for the identity ``Kw + Lw e^{-s0 p} = I``.
-ITERATION_IDENTITY_TOL = 1e-9
+#: Bound on the deflation residual ``|E V M - F V|`` relative to
+#: ``|E| |M| + |F|`` (Frobenius norms).  QZ is backward stable, so the
+#: residual sits at a small multiple of the unit roundoff.
+DEFLATION_TOL = 1e-9
 
 
-def output_nulling_stacks(sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]`` driving the
-    incoming/outgoing trace recursion of the zero dynamics."""
-    return -np.vstack([sys.K0, sys.Ky]), np.vstack([sys.L0, sys.Ly])
+def _finite(alpha, beta) -> np.ndarray:
+    """Mask of the finite eigenvalues ``alpha / beta``, judged as in
+    :func:`analysis.pencil_roots`."""
+    return np.abs(beta) > analysis.EIG_DROP_TOL * np.hypot(np.abs(alpha), np.abs(beta))
+
+
+def _deflate(e, f):
+    """Ordered QZ of the square pencil ``F - lambda E``, finite
+    eigenvalues first.
+
+    Returns ``(z, k, m, residual)``: ``z`` is orthogonal and its first
+    ``k`` columns ``V`` span the right deflating subspace of the ``k``
+    finite eigenvalues; ``m = inv(BB11) AA11`` from the leading Schur
+    blocks solves ``E V m = F V``; ``residual`` is ``|E V m - F V|``
+    (Frobenius).  Returns ``None`` when the pencil is not square or is
+    singular (a pair with both ``alpha`` and ``beta`` at rounding level,
+    :data:`SINGULAR_PAIR_TOL`).  Raises :class:`ConsistencyError` when the
+    residual exceeds :data:`DEFLATION_TOL`.
+    """
+    e = linalg.as_matrix(e)
+    f = linalg.as_matrix(f)
+    if e.shape != f.shape:
+        raise ValueError(f"stack shapes differ: {e.shape} vs {f.shape}")
+    n = e.shape[1]
+    if e.shape[0] != n or n == 0:
+        return None
+    aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(f, e, sort=_finite, output="real")
+    e_norm, f_norm = np.linalg.norm(e), np.linalg.norm(f)
+    pairs = np.hypot(np.abs(alpha), np.abs(beta))
+    if np.any(pairs <= SINGULAR_PAIR_TOL * max(e_norm, f_norm)):
+        return None
+    finite = _finite(alpha, beta)
+    k = int(np.count_nonzero(finite))
+    if not finite[:k].all():
+        raise ConsistencyError("ordered QZ left a finite eigenvalue behind an infinite one")
+    v = z[:, :k]
+    m = scipy.linalg.solve_triangular(bb[:k, :k], aa[:k, :k])
+    residual = float(np.linalg.norm(e @ v @ m - f @ v))
+    if residual > DEFLATION_TOL * (e_norm * np.linalg.norm(m) + f_norm):
+        raise ConsistencyError(f"deflation residual |E V M - F V| = {residual:.3e}")
+    return z, k, m, residual
 
 
 def vstar_discrete(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
     """Largest subspace ``V`` with ``F V ⊆ E V``.
 
+    For a regular pencil ``F - lambda E`` this is the right deflating
+    subspace of its finite eigenvalues, computed by :func:`_deflate`
+    (``tol`` is then unused).  A non-square or singular pencil goes to
+    :func:`_vstar_iteration`.
+    """
+    deflation = _deflate(e, f)
+    if deflation is None:
+        return _vstar_iteration(e, f, tol)
+    z, k, _, _ = deflation
+    return Subspace(z[:, :k], tol)
+
+
+def _vstar_iteration(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
+    """Largest subspace ``V`` with ``F V ⊆ E V`` by subspace iteration.
+
     Fixed point of ``V^0`` = full space, ``V^{k+1} = V^k ∩ F^{-1} E V^k``;
     the dimension strictly decreases until the fixed point, so at most
-    ``n`` steps run.
+    ``n`` steps run.  The route for singular pencils.
     """
     e = linalg.as_matrix(e)
     f = linalg.as_matrix(f)
@@ -146,9 +207,12 @@ class ZeroDynamicsResult:
     ``Kw w(0,t) + Lw w(1,t) = 0`` on the k-dimensional reduced state,
     ``constraints @ z = 0`` are the eliminated directions (rows in the
     original channel coordinates, unit norm, first nonzero entry
-    positive), ``transform_chain`` holds the per-iteration state maps in
-    iteration-local coordinates, and ``u = Ku_tilde w(0,t) +
+    positive), ``transform_chain`` holds one state map per eliminated
+    direction, each keeping all but its last coordinate (see
+    :attr:`reduced_state_map`), and ``u = Ku_tilde w(0,t) +
     Lu_tilde w(1,t)`` reproduces the output-zeroing input.
+    ``deflation_residual`` is ``|E V M - F V|`` of the QZ deflation
+    behind the reduction (0 on the full state space).
     """
 
     k: int
@@ -159,10 +223,8 @@ class ZeroDynamicsResult:
     transform_chain: tuple
     Ku_tilde: np.ndarray
     Lu_tilde: np.ndarray
-    s0_used: tuple
     full_state: bool
-    #: per-iteration residuals of ``Kw_i + Lw_i e^{-s0 p} - I`` (diagnostic)
-    iteration_identity_residuals: tuple = ()
+    deflation_residual: float = 0.0
 
     @cached_property
     def reduced_state_map(self) -> np.ndarray:
@@ -216,190 +278,65 @@ def _normalize_constraint(row: np.ndarray) -> np.ndarray:
     big = np.abs(row) > 1e-9
     if np.any(big) and row[np.argmax(big)] < 0:
         row = -row
-    return row
+    return row + 0.0  # turns -0.0 into 0.0
 
 
-def _row_reduce_pair(kc, lc, tol):
-    """Invertible row transform sending ``kc`` to [full-row-rank; zero rows].
-
-    Row-pivoted elimination first; if the dependent rows do not surface as
-    (near-)zero rows of the triangular factor, fall back to an orthogonal
-    reduction built from the left singular vectors.  Returns the
-    transformed pair.
-    """
-    d = kc.shape[0]
-    deficiency = d - linalg.rank(kc, tol)
-    fac = linalg.lu_decompose(kc)
-    rk = fac.upper
-    rl = scipy.linalg.solve_triangular(
-        fac.lower, lc[fac.perm], lower=True, unit_diagonal=True
-    )
-    scale = max(float(np.abs(rk).max(initial=0.0)), np.finfo(float).tiny)
-    norms = np.abs(rk).max(axis=1)
-    flagged = np.nonzero(norms <= tol * scale)[0]
-    if flagged.size == deficiency:
-        if deficiency and flagged[0] != d - deficiency:
-            order = [i for i in range(d) if i not in set(flagged)] + list(flagged)
-            rk = rk[order]
-            rl = rl[order]
-        return rk, rl
-    u = np.linalg.svd(kc)[0]
-    return u.conj().T @ kc, u.conj().T @ lc
-
-
-def _column_candidates(top, tol):
-    """Column swaps (with the last column) making the leading block
-    invertible, best last-pivot first; ``None`` means no swap and comes
-    first whenever it is admissible.
-
-    A generator: the swaps are rank-checked and scored only when the
-    caller asks for the candidate after ``None``, so an elimination that
-    succeeds without a swap costs one rank check instead of ``d`` rank
-    checks and up to ``d - 1`` LU factorizations.
-    """
-    d = top.shape[1]
-    if d == 1 or linalg.rank(top[:, : d - 1], tol) == d - 1:
-        yield None
-    scored = []
-    for col in range(d - 1):
-        order = list(range(d))
-        order[col], order[d - 1] = order[d - 1], order[col]
-        block = top[:, order[: d - 1]]
-        if linalg.rank(block, tol) != d - 1:
-            continue
-        last_pivot = float(np.abs(np.diag(linalg.lu_decompose(block).upper))[-1])
-        scored.append((-last_pivot, col))
-    yield from (col for _, col in sorted(scored))
-
-
-def reduce(
-    sys: PHSystem,
-    s0_max: float | None = None,
-    tol: float = linalg.DEFAULT_TOL,
-    cond_limit: float = linalg.COND_LIMIT,
-) -> ZeroDynamicsResult:
+def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult:
     """Construct the zero dynamics of a well-posed uniform-speed system.
 
     If the stacked matrix ``[K0; Ky]`` is invertible the zero dynamics
     live on the full state space and no reduction runs.  Otherwise (SISO
-    only) one state variable is eliminated per iteration until the
-    reduced ``Kw`` is invertible; each iteration records the eliminated
-    combination as a constraint row and a local transform in the chain.
+    only) the ordered QZ of :func:`_deflate` gives ``V`` (the first ``k``
+    columns of ``Z``) and ``E V M = F V``, so on ``w = V^T z`` the zero
+    dynamics are ``Kw = I``, ``Lw = -M``.  The constraint rows are the
+    trailing columns of ``Z``, last first, and the transform chain is
+    ``(Z^T, I_{n-1}, ..., I_{k+1})``: one map per eliminated direction,
+    composing to ``V^T``.
 
-    Each elimination first tries the leading block as it stands (no
-    column swap) over the whole shift scan; column swaps are ranked and
-    tried only if that fails, so the usual elimination never scores them.
-
-    Raises :class:`ReductionError` when no real shift in ``[0, s0_max]``
-    makes the transformed pencil invertible for any admissible column
-    choice, which indicates an identically zero transfer function.
+    Raises :class:`ReductionError` when the pencil is singular, i.e. the
+    transfer function is identically zero.
     """
     if not analysis.check_well_posed(sys, tol):
         raise IllPosedError("boundary matrix [K0; Ku] is singular")
-    n, m = sys.n, sys.m
-    if s0_max is None:
-        s0_max = 50.0 / sys.p
-    stacked_k = np.vstack([sys.K0, sys.Ky])
-    stacked_l = np.vstack([sys.L0, sys.Ly])
-    if linalg.rank(stacked_k, tol) == n:
+    n = sys.n
+    e, f = output_nulling_stacks(sys)
+    if linalg.rank(e, tol) == n:
         return ZeroDynamicsResult(
             k=n,
-            Kw=stacked_k,
-            Lw=stacked_l,
+            Kw=-e,
+            Lw=f,
             p=sys.p,
             constraints=np.zeros((0, n)),
             transform_chain=(),
             Ku_tilde=sys.Ku.copy(),
             Lu_tilde=sys.Lu.copy(),
-            s0_used=(),
             full_state=True,
         )
-    if m != 1:
+    if sys.m != 1:
         raise UnsupportedSystemError(
             "reduction with a singular [K0; Ky] is only supported for "
             "single-input single-output systems"
         )
-
-    kc, lc = stacked_k, stacked_l
-    wmap = np.eye(n)
-    phi = np.eye(n)
-    chain: list[np.ndarray] = []
-    constraints: list[np.ndarray] = []
-    s0_used: list[float] = []
-    identity_residuals: list[float] = []
-    s0_grid = np.arange(0.0, s0_max + S0_STEP / 2, S0_STEP)
-
-    while True:
-        d = kc.shape[0]
-        r = linalg.rank(kc, tol) if d else 0
-        if r == d:
-            break
-        if r < d - 1:
-            raise ConsistencyError(
-                f"rank dropped by {d - r} in one iteration (expected at most 1)"
-            )
-        rk, rl = _row_reduce_pair(kc, lc, tol)
-        top_k = rk[: d - 1]
-        accepted = None
-        for col in _column_candidates(top_k, tol):
-            order = list(range(d))
-            if col is not None:
-                order[col], order[d - 1] = order[d - 1], order[col]
-            rkp = rk[:, order]
-            rlp = rl[:, order]
-            k11, k12 = rkp[: d - 1, : d - 1], rkp[: d - 1, d - 1 :]
-            l11, l12 = rlp[: d - 1, : d - 1], rlp[: d - 1, d - 1 :]
-            l21, l22 = rlp[d - 1 :, : d - 1], rlp[d - 1 :, d - 1 :]
-            for s0 in s0_grid:
-                w0 = float(np.exp(-s0 * sys.p))
-                t1 = k11 + l11 * w0
-                tmat = np.block([[t1, k12 + l12 * w0], [l21 * w0, l22 * w0]])
-                if linalg.cond2(t1) < cond_limit and linalg.cond2(tmat) < cond_limit:
-                    accepted = (order, s0, w0, tmat, k11, k12, l11, l12)
-                    break
-            if accepted is not None:
-                break
-        if accepted is None:
-            raise ReductionError(
-                "no real shift in the scan makes the transformed pencil "
-                "invertible; the transfer function may be identically zero"
-            )
-        order, s0, w0, tmat, k11, k12, l11, l12 = accepted
-        x11, x21 = linalg.schur_block_inverse(tmat, d - 1)
-        kw = k11 @ x11 + k12 @ x21
-        lw = l11 @ x11 + l12 @ x21
-        identity_residual = linalg.two_norm(kw + lw * w0 - np.eye(d - 1))
-        if identity_residual > ITERATION_IDENTITY_TOL:
-            raise ConsistencyError(
-                f"iteration identity Kw + Lw e^(-s0 p) = I violated "
-                f"({identity_residual:.3e})"
-            )
-        identity_residuals.append(identity_residual)
-        local = tmat @ np.eye(d)[order, :]
-        chain.append(local)
-        full_map = local @ wmap
-        constraints.append(_normalize_constraint(full_map[d - 1]))
-        wmap = full_map[: d - 1]
-        phi = phi @ np.linalg.inv(local)[:, : d - 1]
-        s0_used.append(float(s0))
-        kc, lc = kw, lw
-
-    k = kc.shape[0]
-    if k + len(constraints) != n:
-        raise ConsistencyError("dimension accounting failed after reduction")
-    constraint_mat = np.array(constraints).reshape(len(constraints), n)
+    deflation = _deflate(e, f)
+    if deflation is None:
+        raise ReductionError(
+            "the stacked zero pencil [K0; Ky] + [L0; Ly] w is singular; "
+            "the transfer function may be identically zero"
+        )
+    z, k, m, residual = deflation
+    v = z[:, :k]
+    constraints = [_normalize_constraint(z[:, j]) for j in range(n - 1, k - 1, -1)]
     return ZeroDynamicsResult(
         k=k,
-        Kw=kc,
-        Lw=lc,
+        Kw=np.eye(k),
+        Lw=0.0 - m,  # -m would turn the zeros of m into -0.0
         p=sys.p,
-        constraints=constraint_mat,
-        transform_chain=tuple(chain),
-        Ku_tilde=sys.Ku @ phi,
-        Lu_tilde=sys.Lu @ phi,
-        s0_used=tuple(s0_used),
+        constraints=np.array(constraints).reshape(n - k, n),
+        transform_chain=(z.T.copy(),) + tuple(np.eye(d) for d in range(n - 1, k, -1)),
+        Ku_tilde=sys.Ku @ v,
+        Lu_tilde=sys.Lu @ v,
         full_state=False,
-        iteration_identity_residuals=tuple(identity_residuals),
+        deflation_residual=residual,
     )
 
 

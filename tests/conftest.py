@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phzero import MultiSpeedSystem, PHSystem, RationalSpeed
+from phzero.ensembles import random_siso_system
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -53,6 +54,21 @@ def build_sparse_ten() -> PHSystem:
     ly[0, 3] = -2.0
     return PHSystem(p=1.0, K0=k0, L0=np.zeros((9, 10)), Ku=ku,
                     Lu=np.zeros((1, 10)), Ky=np.zeros((1, 10)), Ly=ly)
+
+
+def criterion_6_ensemble():
+    """The 200 seeded SISO systems of acceptance criterion 6: every tenth
+    has a zero output map (an identically zero transfer function), the
+    rest alternate dense/sparse and full/singular ``[K0; Ky]``."""
+    rng = np.random.default_rng(GLOBAL_SEED + 6)
+    for i in range(200):
+        if i % 10 == 9:
+            n = int(rng.integers(2, 7))
+            sysr = random_siso_system(rng, n=n, reduction_depth=0)
+            yield PHSystem(p=1.0, K0=sysr.K0, L0=sysr.L0, Ku=sysr.Ku, Lu=sysr.Lu,
+                           Ky=np.zeros((1, n)), Ly=np.zeros((1, n)))
+        else:
+            yield random_siso_system(rng, reduction_depth=i % 2, sparse=bool(i % 3 == 0))
 
 
 @pytest.fixture

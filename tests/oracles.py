@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-:func:`column_candidates_eager` scores every column swap up front, which
-is how ``reduce`` ranked its candidates before the scoring became lazy;
-it pins the candidate order of ``zerodyn._column_candidates``.
+:func:`lu_decompose` (a row-pivoted triangular factorization) and
+:func:`schur_block_inverse` (the left blocks of a 2x2-partitioned
+inverse) are the hand-rolled kernels of the earlier elimination-based
+reduction, kept with their unit tests as reference implementations.
 
 The multirate simulator below never forms the split system: each channel
 is an exact delay line of ``travel_time / h`` cells (``h`` divides every
@@ -11,35 +12,108 @@ incoming traces.  It is the reference against which both the splitting
 transformation and the uniform-grid simulator are checked.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from phzero import linalg
 from phzero.canonicalize import common_travel_time
+from phzero.errors import SingularMatrixError
 
 
-def column_candidates_eager(top, tol):
-    """All admissible column swaps of ``top`` in ``reduce``'s order:
-    ``None`` (no swap) first if the leading block has full rank, then the
-    swaps with the last column by decreasing last LU pivot, ties by
-    column index."""
-    d = top.shape[1]
-    out = []
-    if d == 1 or linalg.rank(top[:, : d - 1], tol) == d - 1:
-        out.append(None)
-    if d == 1:
+@dataclass(frozen=True)
+class LUFactors:
+    """Row-pivoted triangular factorization ``M[perm] = lower @ upper``.
+
+    ``perm`` maps factored row positions to input row positions, ``lower``
+    is unit lower triangular and ``upper`` is upper triangular (echelon on
+    rank-deficient input, with zero rows collected at the bottom whenever
+    the dependent rows are exact).
+    """
+
+    perm: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        """Return ``lower @ upper`` in the original row order."""
+        out = np.empty_like(self.upper)
+        out[self.perm] = self.lower @ self.upper
         return out
-    scored = []
-    for col in range(d - 1):
-        order = list(range(d))
-        order[col], order[d - 1] = order[d - 1], order[col]
-        block = top[:, order[: d - 1]]
-        if linalg.rank(block, tol) != d - 1:
+
+
+def lu_decompose(mat) -> LUFactors:
+    """Factor a square or wide matrix as ``P M = L U`` with partial pivoting.
+
+    The pivot is the largest-magnitude entry of the active column, ties
+    broken by lowest row index.  An exactly zero active column is skipped
+    (the elimination advances to the next column without consuming a row),
+    so rank deficiency surfaces as zero pivots rather than an error and the
+    dependent rows of ``U`` end up at the bottom.
+    """
+    a = linalg.as_matrix(mat).copy()
+    m, n = a.shape
+    if m > n:
+        raise ValueError(f"expected a square or wide matrix, got shape {a.shape}")
+    perm = np.arange(m)
+    lower = np.eye(m, dtype=a.dtype)
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        mags = np.abs(a[row:, col])
+        piv = row + int(np.argmax(mags))
+        if mags[piv - row] == 0.0:
             continue
-        last_pivot = float(np.abs(np.diag(linalg.lu_decompose(block).upper))[-1])
-        scored.append((-last_pivot, col))
-    scored.sort()
-    out.extend(col for _, col in scored)
-    return out
+        if piv != row:
+            a[[row, piv], :] = a[[piv, row], :]
+            perm[[row, piv]] = perm[[piv, row]]
+            lower[[row, piv], :row] = lower[[piv, row], :row]
+        mult = a[row + 1 :, col] / a[row, col]
+        lower[row + 1 :, row] = mult
+        a[row + 1 :, col:] -= np.outer(mult, a[row, col:])
+        a[row + 1 :, col] = 0.0
+        row += 1
+    return LUFactors(perm=perm, lower=lower, upper=a)
+
+
+def schur_block_inverse(t, split: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two left blocks of ``inv(T)`` for a 2x2 block partition.
+
+    With ``T = [[T1, T2], [T3, T4]]`` (``T1`` of order ``split``) and the
+    complement ``S = T4 - T3 inv(T1) T2``::
+
+        X11 = inv(T1) (I + T2 inv(S) T3 inv(T1))
+        X21 = -inv(S) T3 inv(T1)
+
+    Raises :class:`SingularMatrixError` when ``T1`` or ``S`` is singular.
+    """
+    tm = linalg.as_matrix(t)
+    d = tm.shape[0]
+    if tm.shape[0] != tm.shape[1]:
+        raise ValueError("block inversion requires a square matrix")
+    if not 0 <= split <= d:
+        raise ValueError(f"split {split} out of range for order {d}")
+    t1 = tm[:split, :split]
+    t2 = tm[:split, split:]
+    t3 = tm[split:, :split]
+    t4 = tm[split:, split:]
+    if split and not linalg.is_invertible(t1):
+        raise SingularMatrixError("leading block T1 is numerically singular")
+    if split == d:
+        return np.linalg.solve(t1, np.eye(split, dtype=tm.dtype)), np.zeros((0, split), dtype=tm.dtype)
+    if split == 0:
+        if not linalg.is_invertible(t4):
+            raise SingularMatrixError("Schur complement is numerically singular")
+        return np.zeros((0, 0), dtype=tm.dtype), np.zeros((d, 0), dtype=tm.dtype)
+    x = np.linalg.solve(t1.T, t3.T).T  # T3 inv(T1)
+    s = t4 - x @ t2
+    if not linalg.is_invertible(s):
+        raise SingularMatrixError("Schur complement is numerically singular")
+    y = np.linalg.solve(s, x)  # inv(S) T3 inv(T1)
+    x11 = np.linalg.solve(t1, np.eye(split, dtype=tm.dtype) + t2 @ y)
+    x21 = -y
+    return x11, x21
 
 
 def multispeed_output(ms, z0_cells, u_seq, grid_n):

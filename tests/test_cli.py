@@ -36,7 +36,7 @@ def test_corpus_end_to_end(capsys, name):
         doc = json.loads(out)
         assert doc["command"] == command[0]
         assert doc["inputs"]
-        assert doc["versions"]["schema"] == "1"
+        assert doc["versions"]["schema"] == "2"
 
 
 @pytest.mark.parametrize("name", CORPUS_FILES)
@@ -131,8 +131,11 @@ def test_zerodyn_split_report(capsys, tmp_path):
     assert result["k"] == 2
     constraint = np.asarray(result["constraints"][0])
     assert np.allclose(np.abs(constraint), np.array([1, 1, 0]) / np.sqrt(2), atol=1e-12)
-    fk = doc["findings"]["input_on_original_traces"]["incoming"]
-    assert np.allclose(fk, [[-2, -2, 1]], atol=1e-12)
+    # u is the third incoming trace modulo the constraint row
+    fk = np.asarray(doc["findings"]["input_on_original_traces"]["incoming"][0])
+    residual = fk - [0, 0, 1]
+    residual -= (residual @ constraint) * constraint
+    assert np.abs(residual).max() <= 1e-12
     loaded = load_result(out_path)
     assert loaded.k == 2
 
@@ -180,6 +183,33 @@ def test_zeros_large_random_system(capsys, tmp_path):
     assert len(findings["w_roots"]) == 159
 
 
+def test_zerodyn_deep_ring_document(capsys, tmp_path):
+    # 64-channel unit ring with relative degree 63: transfer function
+    # w^63 / (1 - w^64), zero dynamics of order 1
+    n = 64
+    k = np.zeros((n, n))
+    l = np.zeros((n, n))
+    for row, i in enumerate(list(range(1, n)) + [0]):
+        k[row, i] = 1.0
+        l[row, i - 1] = -1.0
+    ly = np.zeros((1, n))
+    ly[0, n - 2] = 1.0
+    doc = {"n": n, "m": 1, "travel_time": 1.0,
+           "K0": k[: n - 1].tolist(), "L0": l[: n - 1].tolist(),
+           "Ku": k[n - 1 :].tolist(), "Lu": l[n - 1 :].tolist(),
+           "Ky": np.zeros((1, n)).tolist(), "Ly": ly.tolist()}
+    path = tmp_path / "ring64.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "zerodyn", str(path), "--json")
+    assert code == 0, err
+    result = json.loads(out)["findings"]["result"]
+    assert result["k"] == 1 and len(result["constraints"]) == 63
+    code, out, _ = run(capsys, "zerodyn", str(path))
+    assert code == 0
+    assert "reduced order k = 1 of n = 64" in out
+    assert "eliminations: 63  deflation residual: " in out
+
+
 def test_vstar_report(capsys):
     code, out, _ = run(capsys, "vstar", str(CORPUS_DIR / "two_speed_network.json"), "--json")
     doc = json.loads(out)
@@ -217,6 +247,18 @@ def test_simulate_zeroing_json(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["findings"]["max_abs_output"] <= 1e-10 * max(1.0, np.abs(z0).max())
     assert doc["trajectory"]["steps"] == 20
+
+
+@pytest.mark.parametrize("steps", ["-3", "-1", "2.5"])
+def test_simulate_bad_steps_is_a_usage_error(capsys, tmp_path, steps):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": np.zeros((3, 4)).tolist()}))
+    code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "split_three_channel.json"),
+                         "--initial", str(profile), "--steps", steps)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and "--steps" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_profile_shape_error(capsys, tmp_path):

@@ -170,6 +170,6 @@ def test_result_roundtrip(tmp_path, split_sys):
     assert np.array_equal(loaded.Lw, res.Lw)
     assert np.array_equal(loaded.constraints, res.constraints)
     assert np.array_equal(loaded.Ku_tilde, res.Ku_tilde)
-    assert loaded.s0_used == res.s0_used
+    assert loaded.deflation_residual == res.deflation_residual
     assert all(np.array_equal(a, b) for a, b in zip(loaded.transform_chain, res.transform_chain))
     assert np.array_equal(loaded.reduced_state_map, res.reduced_state_map)

@@ -3,6 +3,7 @@ reduction, zero scan and closed-loop certification, plus loader fuzzing
 and a larger-order smoke run."""
 
 import json
+import runpy
 import time
 
 import numpy as np
@@ -64,10 +65,9 @@ def test_full_pipeline_from_raw_system(rng):
                   u.reshape(traversals, grid, 1).transpose(0, 2, 1), steps=traversals)
     assert np.abs(y_oracle - tr.outputs.transpose(0, 2, 1).reshape(-1, 1)).max() <= 1e-12
 
-    # genuine reduction that needs a nonzero shift
+    # genuine reduction with a transmission zero at w = 1
     res = zd_reduce(split)
     assert not res.full_state and res.k == 2
-    assert res.s0_used == (0.5,)
     rep = cross_check(split)
     assert rep.k == rep.vstar_dim == 2
     assert any(abs(w - 1.0) <= 1e-9 for w in rep.w_roots_scan)
@@ -112,8 +112,9 @@ def test_loader_rejects_malformed_multirate(tmp_path, two_speed, mutate, message
 
 
 def test_cli_s0_max_exhaustion(capsys, tmp_path):
-    # the zero pencil is singular exactly at w = 1, so capping the scan at
-    # the zero shift must exhaust it
+    # the zero pencil is singular exactly at w = 1 (s = 0); the reduction
+    # scans no shifts, so there is no --s0-max to exhaust and the flag is
+    # a usage error
     doc = {"n": 2, "m": 1, "travel_time": 1.0,
            "K0": [[1.0, 0.0]], "L0": [[1.0, 1.0]],
            "Ku": [[0.0, 1.0]], "Lu": [[0.0, 0.0]],
@@ -122,8 +123,8 @@ def test_cli_s0_max_exhaustion(capsys, tmp_path):
     path.write_text(dumps(doc))
     code = main(["zerodyn", str(path), "--s0-max", "0.0"])
     err = capsys.readouterr().err
-    assert code == 3
-    assert "identically zero" in err
+    assert code == 1
+    assert err.startswith("usage error: ") and "--s0-max" in err
     assert main(["zerodyn", str(path)]) == 0
 
 
@@ -148,6 +149,15 @@ def test_public_names_are_explicit():
 
     import phzero
 
-    assert len(phzero.__all__) == len(set(phzero.__all__)) == 50
+    assert len(phzero.__all__) == len(set(phzero.__all__)) == 47
     for name in phzero.__all__:
         assert not isinstance(getattr(phzero, name), types.ModuleType), name
+
+
+def test_run_examples_script(capsys):
+    # the corpus walk reads result fields by name; a field that leaves the
+    # result must not break it unnoticed
+    runpy.run_path(str(CORPUS_DIR.parent / "scripts" / "run_examples.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("=== ") == len(list(CORPUS_DIR.glob("*.json")))
+    assert "cross-check: nulling dimension 2 == reduced order 2" in out

@@ -14,14 +14,17 @@ from phzero import (
     nulling_friend,
     output_nulling_stacks,
     scan_zeros,
+    simulate_zeroing,
     vstar_discrete,
     vstar_from_quadruple,
 )
 from phzero.analysis import DiscreteSystem, pencil_roots
 from phzero.ensembles import random_siso_system, random_square_system
 from phzero.linalg import preimage, subspace_intersect
-from phzero.linalg import rank as zd_rank
+from phzero.zerodyn import _deflate, _vstar_iteration
 from phzero.zerodyn import reduce as zd_reduce
+
+from conftest import criterion_6_ensemble
 
 
 def span_equal(subspace, rows, tol=1e-9):
@@ -145,13 +148,14 @@ def test_friend_rejects_non_nulling(ring_sys):
 def test_reduce_split_golden(split_sys):
     res = zd_reduce(split_sys)
     assert res.k == 2 and not res.full_state
-    assert res.s0_used == (0.0,)
-    assert_allclose(res.transform_chain[0],
-                    [[2, 0, 1], [0, 1, -1], [1, 1, 0]], atol=1e-12)
-    assert_allclose(res.Kw, [[0, -1], [-1, -1]], atol=1e-12)
-    assert_allclose(res.Lw, [[1, 1], [1, 2]], atol=1e-12)
     assert res.constraints.shape == (1, 3)
     assert_allclose(np.abs(res.constraints[0]), np.array([1, 1, 0]) / np.sqrt(2), atol=1e-12)
+    assert_allclose(res.Kw, np.eye(2), atol=1e-12)
+    roots, vanishes = pencil_roots(res.Kw, res.Lw)
+    assert not vanishes
+    golden = sorted([(-1 - np.sqrt(5)) / 2, (-1 + np.sqrt(5)) / 2])
+    assert_allclose(sorted(z.real for z in roots), golden, atol=1e-12)
+    assert max(abs(z.imag) for z in roots) <= 1e-12
     fk, fl = res.input_functional_original()
     # u equals the incoming trace of the third channel modulo constraints
     assert np.abs(functional_mod_constraints(fk, res.constraints) - [0, 0, 1]).max() <= 1e-10
@@ -161,9 +165,7 @@ def test_reduce_split_golden(split_sys):
 def test_reduce_ring_golden(ring_sys):
     res = zd_reduce(ring_sys)
     assert res.k == 1 and len(res.transform_chain) == 2
-    assert_allclose(res.transform_chain[0],
-                    [[-1, 1, 0], [1, 0, -1], [1, 0, 0]], atol=1e-12)
-    assert_allclose(res.transform_chain[1], [[0, 1], [1, 0]], atol=1e-12)
+    assert span_equal(Subspace(res.reduced_state_map.T), [[0, 0, 1]], tol=1e-12)
     assert_allclose(res.Kw, [[1.0]], atol=1e-12)
     assert_allclose(res.Lw, [[0.0]], atol=1e-12)
     assert Subspace.from_span(res.constraints.T).same_as(
@@ -208,8 +210,10 @@ def test_reduce_identity_and_accounting(rng):
             assert scan_zeros(sysr).identically_zero
             continue
         assert res.k + res.constraints.shape[0] == sysr.n
-        for r in res.iteration_identity_residuals:
-            assert r <= 1e-9
+        assert res.deflation_residual <= 1e-12
+        e, f = output_nulling_stacks(sysr)
+        lift = res.reduced_state_map.T
+        assert np.abs(e @ lift @ res.reduced_step - f @ lift).max() <= 1e-9
         for mat in res.transform_chain:
             assert np.linalg.cond(mat) < 1e12
 
@@ -221,22 +225,19 @@ def test_reduce_mimo_unsupported(rng):
 
 
 def test_reduce_advances_past_inadmissible_shift(rng):
-    # the zero-pencil determinant vanishes at w = 1, so the shift scan must
-    # reject s0 = 0 and settle on the next grid point
+    # the zero-pencil determinant vanishes at w = 1 (s = 0), where a shift
+    # scan starting at s0 = 0 would find no admissible shift
     sysx = PHSystem(p=1.0, K0=[[1.0, 0.0]], L0=[[1.0, 1.0]],
                     Ku=[[0.0, 1.0]], Lu=[[0.0, 0.0]],
                     Ky=[[1.0, 0.0]], Ly=[[3.0, 2.0]])
     res = zd_reduce(sysx)
     assert res.k == 1
-    assert res.s0_used == (0.5,)
     rep = cross_check(sysx)
     assert rep.k == rep.vstar_dim == 1
     # the system carries a transmission zero exactly at s = 0 (w = 1)
     assert any(abs(w - 1.0) <= 1e-9 for w in rep.w_roots_scan)
     assert any(abs(w - 1.0) <= 1e-9 for w in rep.w_roots_reduced)
     z0 = res.nulling_subspace().basis @ rng.uniform(-1, 1, (1, 16))
-    from phzero import simulate_zeroing
-
     for mode in ("reduction", "friend"):
         tr = simulate_zeroing(sysx, res, z0, steps=20, mode=mode)
         assert tr.max_output() <= 1e-10 * max(1.0, np.abs(z0).max())
@@ -251,55 +252,10 @@ def test_reduce_zero_output_map_fails_scan():
     assert scan_zeros(sysz).identically_zero
 
 
-def test_row_reduction_orthogonal_fallback(rng):
-    from phzero import linalg
-    from phzero.zerodyn import _row_reduce_pair
-
-    # growth-prone elimination inflates the dependent row past the flagging
-    # threshold, so the triangular route cannot isolate it and the
-    # orthogonal fallback must take over
-    d = 8
-    grower = np.eye(d)
-    grower[np.tril_indices(d, -1)] = -1.0
-    grower[:, -1] = 1.0
-    combo = rng.standard_normal(d - 1)
-    kc = grower.copy()
-    kc[-1] = combo @ grower[:-1] + 2e-10 * rng.standard_normal(d)
-    lc = rng.standard_normal((d, d))
-    assert d - zd_rank(kc) == 1
-    fac = linalg.lu_decompose(kc)
-    norms = np.abs(fac.upper).max(axis=1)
-    assert not np.any(norms <= 1e-10 * np.abs(fac.upper).max())  # LU route blind
-    rk, rl = _row_reduce_pair(kc, lc, 1e-10)
-    u = np.linalg.svd(kc)[0]
-    assert np.allclose(rk, u.T @ kc) and np.allclose(rl, u.T @ lc)
-    assert np.abs(rk[-1]).max() <= 1e-9
-    assert zd_rank(rk[:-1]) == d - 1
-
-
-def test_reduce_scores_no_swap_when_none_is_accepted(monkeypatch):
-    from phzero import linalg
-
-    # Ky = c K0 makes the leading block admissible, so the one elimination
-    # is accepted without a swap and the swap columns are never scored:
-    # the only LU left is the row reduction
-    sysr = random_siso_system(np.random.default_rng(11), n=40)
-    calls = []
-    lu = linalg.lu_decompose
-
-    def counting_lu(mat):
-        calls.append(np.shape(mat))
-        return lu(mat)
-
-    monkeypatch.setattr(linalg, "lu_decompose", counting_lu)
-    res = zd_reduce(sysr)
-    assert res.k == 39 and len(res.transform_chain) == 1
-    assert calls == [(40, 40)]
-
-
 def _unit_ring(n, d, rng):
     """Ring ``z_i(0) = s_i z_{i-1}(1)`` (random signs), input into channel
-    0, output ``2 z_{d-1}(1)``: ``d`` eliminations, many needing a swap."""
+    0, output ``2 z_{d-1}(1)``: relative degree ``d``, so the zero dynamics
+    live on ``span(e_d, ..., e_{n-1})`` and have order ``n - d``."""
     signs = rng.choice([-1.0, 1.0], size=n)
     k = np.zeros((n, n))
     l = np.zeros((n, n))
@@ -312,43 +268,47 @@ def _unit_ring(n, d, rng):
                     Lu=l[n - 1 :], Ky=np.zeros((1, n)), Ly=ly)
 
 
-def test_column_candidates_order_matches_eager_scoring(corpus_dir, monkeypatch):
-    from phzero import canonicalize, load_system, zerodyn
+DEEP_RINGS = [(16, d) for d in (1, 8, 14, 15)] + [(64, d) for d in (4, 24, 40, 63)] \
+    + [(128, d) for d in (1, 64, 127)]
 
-    from oracles import column_candidates_eager
 
-    lazy = zerodyn._column_candidates
-    tops = []
+@pytest.mark.parametrize("n, d", DEEP_RINGS)
+def test_reduce_deep_ring(n, d):
+    sysr = _unit_ring(n, d, np.random.default_rng(d))
+    known = Subspace(np.eye(n)[:, d:])
+    res = zd_reduce(sysr)
+    assert res.k == n - d and len(res.transform_chain) == d
+    assert np.abs(res.constraints @ known.basis).max() <= 1e-12
+    e, f = output_nulling_stacks(sysr)
+    assert res.deflation_residual <= 1e-12 * (np.linalg.norm(e) + np.linalg.norm(f))
+    assert vstar_discrete(e, f).same_as(known)
 
-    def recording(top, tol):
-        tops.append((top.copy(), tol))
-        return lazy(top, tol)
+    z0 = np.zeros((n, 4))
+    z0[d:] = np.random.default_rng(n + d).uniform(-1, 1, (n - d, 4))
+    for mode in ("reduction", "friend"):
+        tr = simulate_zeroing(sysr, res, z0, steps=2 * n, mode=mode)
+        assert tr.max_output() <= 1e-10 * np.abs(z0).max(), mode
 
-    monkeypatch.setattr(zerodyn, "_column_candidates", recording)
-    systems = []
-    for path in sorted(corpus_dir.glob("*.json")):
-        loaded = load_system(path)
-        if not isinstance(loaded, PHSystem):
-            loaded = canonicalize.split_commensurate(canonicalize.reflect_positive(loaded))
-        systems.append(loaded)
-    rng = np.random.default_rng(3)
-    systems += [_unit_ring(64, d, rng) for d in (8, 16, 24)]
-    for sysr in systems:
-        zd_reduce(sysr)
 
-    # random tops whose leading block repeats a column, so no swap is
-    # admissible and only the scored swaps remain
-    for d in (3, 5, 12):
-        top = rng.standard_normal((d - 1, d))
-        top[:, d - 2] = top[:, 0]
-        tops.append((top, 1e-10))
+def test_deflation_agrees_with_iteration_and_zero_verdict():
+    regular = 0
+    for i, sysr in enumerate(criterion_6_ensemble()):
+        e, f = output_nulling_stacks(sysr)
+        singular = _deflate(e, f) is None
+        assert singular == pencil_roots(-e, f)[1], f"sample {i}"
+        if not singular:
+            assert vstar_discrete(e, f).same_as(_vstar_iteration(e, f)), f"sample {i}"
+            regular += 1
+    assert 150 <= regular < 200
 
-    kinds = set()
-    for top, tol in tops:
-        expected = column_candidates_eager(top, tol)
-        assert list(lazy(top, tol)) == expected
-        kinds.add(bool(expected) and expected[0] is None)
-    assert kinds == {True, False}
+
+def test_deflation_residual_is_checked(split_sys, monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.solve_triangular
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(ConsistencyError, match="deflation residual"):
+        zd_reduce(split_sys)
 
 
 def test_vstar_and_friend_mimo(rng):
