@@ -13,9 +13,16 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage, 2 schema/parse error, 3 precondition
 failure (ill-posed, unsupported, singular zero pencil), 4 internal
-assertion.  Machine-readable reports (``--json``) are byte-identical for
-identical inputs and flags.  ``--tol`` and ``--seed`` fall back to the
+assertion or a simulated trajectory that goes non-finite.
+Machine-readable reports (``--json``) are byte-identical for identical
+inputs and flags.  ``--tol`` and ``--seed`` fall back to the
 ``PHZERO_TOL`` / ``PHZERO_SEED`` environment variables.
+
+``simulate`` writes its export to ``-o`` or to stdout (the summary then
+goes to stderr).  ``--format json`` is the report plus a ``trajectory``
+object on one line with sorted keys; ``--format csv`` is one
+``kind,step,cell,channel,value`` line per sample
+(:meth:`phzero.sim.Trajectory.to_csv`).
 """
 
 import argparse
@@ -246,12 +253,20 @@ def _load_profile(path: str, n: int, grid: int | None) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     system, canonicalized = _load_uniform(args.file)
     z0 = _load_profile(args.initial, system.n, args.grid)
-    if args.mode == "open":
-        trajectory = sim.simulate(system, z0, u=None, steps=args.steps)
-    else:
-        result = zerodyn.reduce(system, tol=args.tol)
-        trajectory = sim.simulate_zeroing(
-            system, result, z0, steps=args.steps, mode=args.feedback
+    # a diverging run is reported below, once, instead of by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.mode == "open":
+            trajectory = sim.simulate(system, z0, u=None, steps=args.steps)
+        else:
+            result = zerodyn.reduce(system, tol=args.tol)
+            trajectory = sim.simulate_zeroing(
+                system, result, z0, steps=args.steps, mode=args.feedback
+            )
+    bad_step = trajectory.first_nonfinite_step()
+    if bad_step is not None:
+        raise ConsistencyError(
+            f"the trajectory goes non-finite at step {bad_step} "
+            f"(the run diverges); nothing was exported"
         )
     findings = {
         "canonicalized": canonicalized,
@@ -263,11 +278,9 @@ def _cmd_simulate(args) -> int:
     doc = _report("simulate", {args.file: _digest(args.file),
                                args.initial: _digest(args.initial)}, findings)
     if args.format == "json":
-        payload = model.dumps({**doc, "trajectory": trajectory.to_doc()})
+        payload = model.dumps({**doc, "trajectory": trajectory.to_doc()}, compact=True)
     else:
-        rows = ["kind,step,cell,channel,value"]
-        rows += [f"{k},{s},{c},{ch},{v!r}" for k, s, c, ch, v in trajectory.rows()]
-        payload = "\n".join(rows) + "\n"
+        payload = trajectory.to_csv()
     lines = [f"simulated {trajectory.steps} traversals on {trajectory.grid_n} cells "
              f"({args.mode} loop)",
              f"max |y| = {trajectory.max_output():.12g}"]
@@ -283,17 +296,30 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _steps(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"steps must be non-negative, got {text}")
-    return value
+# argparse words a ValueError from a ``type`` by the function's name, so
+# these raise ArgumentTypeError with the whole message instead
+
+
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def _positive_tol(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"tol must be positive, got {text}")
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value > 0:
+        raise argparse.ArgumentTypeError(f"tol must be positive, got {text!r}")
     return value
 
 
@@ -325,8 +351,10 @@ def build_parser() -> _Parser:
     common(sub.add_parser("zeros", help="transmission zeros"))
     p = common(sub.add_parser("simulate", help="exact characteristics simulation"))
     p.add_argument("--initial", required=True, help="initial profile document (JSON with 'z0')")
-    p.add_argument("--steps", type=_steps, default=20, help="traversals to simulate")
-    p.add_argument("--grid", type=int, default=None, help="expected cells per channel")
+    p.add_argument("--steps", type=_int_at_least(0, "non-negative"), default=20,
+                   help="traversals to simulate")
+    p.add_argument("--grid", type=_int_at_least(1, "positive"), default=None,
+                   help="expected cells per channel")
     p.add_argument("--mode", choices=["open", "zeroing"], default="open")
     p.add_argument("--feedback", choices=["reduction", "friend"], default="reduction")
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -360,8 +360,16 @@ def save_system(sys, path) -> None:
     Path(path).write_text(dumps(system_doc(sys)), encoding="utf-8")
 
 
-def dumps(doc: dict) -> str:
-    """Deterministic JSON encoding (sorted keys, trailing newline)."""
+def dumps(doc: dict, compact: bool = False) -> str:
+    """Deterministic JSON encoding (sorted keys, trailing newline).
+
+    The default indents by two spaces.  ``compact=True`` writes one line
+    with no spaces and rejects NaN and infinities; it is the form for
+    large documents, because CPython's ``json`` encodes it in C while any
+    ``indent`` falls back to the pure-Python encoder.
+    """
+    if compact:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -50,12 +50,45 @@ class Trajectory:
         return float(np.abs(self.outputs).max()) if self.outputs.size else 0.0
 
     def rows(self):
-        """Long-format (kind, step, cell, channel, value) records."""
+        """Long-format (kind, step, cell, channel, value) records, in the
+        row order of :meth:`to_csv`: states, inputs, outputs; then step,
+        channel, cell."""
         for kind, block in (("state", self.states), ("input", self.inputs), ("output", self.outputs)):
             for step in range(block.shape[0]):
                 for channel in range(block.shape[1]):
                     for cell in range(block.shape[2]):
                         yield kind, step, cell, channel, float(block[step, channel, cell])
+
+    def to_csv(self) -> str:
+        """The records of :meth:`rows` as CSV text: a ``kind,step,cell,
+        channel,value`` header, one line per record with the value's
+        ``repr``, and a trailing newline.
+
+        Two steps of one kind differ only in the ``kind,step`` head and
+        the values, so each kind gets one ``%r`` template, with NUL
+        marking the head, and each step is one ``%`` of it: every value
+        costs one C-level ``repr``.
+        """
+        parts = ["kind,step,cell,channel,value"]
+        for kind, block in (("state", self.states), ("input", self.inputs), ("output", self.outputs)):
+            if not block.size:
+                continue
+            _, channels, cells = block.shape
+            template = "\n".join(
+                f"\0,{cell},{channel},%r" for channel in range(channels) for cell in range(cells)
+            )
+            for step in range(block.shape[0]):
+                lines = template.replace("\0", f"{kind},{step}")
+                parts.append(lines % tuple(block[step].ravel().tolist()))
+        return "\n".join(parts) + "\n"
+
+    def first_nonfinite_step(self) -> int | None:
+        """The first step whose state, input or output has a non-finite
+        value, or None when the whole trajectory is finite."""
+        bad = ~np.isfinite(self.states).all(axis=(1, 2))
+        bad[:-1] |= ~(np.isfinite(self.inputs).all(axis=(1, 2))
+                      & np.isfinite(self.outputs).all(axis=(1, 2)))
+        return int(bad.argmax()) if bad.any() else None
 
     def to_doc(self) -> dict:
         return {

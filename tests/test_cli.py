@@ -280,7 +280,7 @@ def test_simulate_zeroing_outside_nulling_set_exit_code(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])
 def test_nonpositive_tol_is_a_usage_error(capsys, monkeypatch, tol):
     path = str(CORPUS_DIR / "split_three_channel.json")
     code, _, err = run(capsys, "analyze", path, "--tol", tol)
@@ -326,3 +326,99 @@ def test_simulate_unreadable_profile_is_a_schema_error(capsys, tmp_path, z0):
     assert code == 2
     assert err.startswith("error: field 'z0'")
     assert len(err.splitlines()) == 1
+
+
+def _zeroing_profile(system, cells, seed):
+    from phzero.ensembles import random_nulling_profile
+    from phzero.zerodyn import reduce as zd_reduce
+
+    return random_nulling_profile(np.random.default_rng(seed),
+                                  zd_reduce(system).nulling_subspace().basis, cells)
+
+
+def test_simulate_json_export_is_compact_sorted_and_exact(capsys, tmp_path):
+    from phzero import simulate_zeroing
+    from phzero.zerodyn import reduce as zd_reduce
+
+    path = str(CORPUS_DIR / "sparse_ten_channel.json")
+    system = load_system(path)
+    z0 = _zeroing_profile(system, 6, 11)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": z0.tolist()}))
+    argv = ["simulate", path, "--initial", str(profile), "--steps", "7", "--mode", "zeroing"]
+    texts = []
+    for name in ("a.json", "b.json"):
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / name))
+        assert code == 0, err
+        texts.append((tmp_path / name).read_text(encoding="utf-8"))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "max |y|" in err
+    texts.append(out)
+    assert texts[0] == texts[1] == texts[2]
+    text = texts[0]
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    tr = simulate_zeroing(system, zd_reduce(system), z0, steps=7)
+    for key, arr in (("states", tr.states), ("inputs", tr.inputs), ("outputs", tr.outputs)):
+        assert np.array_equal(np.asarray(doc["trajectory"][key]), arr)
+    assert doc["findings"] == {"canonicalized": False, "mode": "zeroing", "steps": 7,
+                               "grid_n": 6, "max_abs_output": tr.max_output()}
+    assert set(doc) == {"command", "findings", "inputs", "trajectory", "versions"}
+    assert set(doc["trajectory"]) == {"grid_n", "inputs", "max_abs_output", "outputs",
+                                      "p", "states", "steps"}
+
+
+def test_simulate_csv_export_matches_rows(capsys, tmp_path):
+    from phzero import simulate
+    from phzero.canonicalize import reflect_positive, split_commensurate
+
+    path = str(CORPUS_DIR / "two_speed_network.json")
+    system = split_commensurate(reflect_positive(load_system(path)))
+    z0 = np.random.default_rng(3).uniform(-1, 1, (system.n, 5))
+    z0[0, 0] = -0.0
+    z0[1, 1] = 1e16
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": z0.tolist()}))
+    code, out, _ = run(capsys, "simulate", path, "--initial", str(profile), "--steps", "4",
+                       "--format", "csv")
+    assert code == 0
+    tr = simulate(system, z0, None, steps=4)
+    rows = ["kind,step,cell,channel,value"]
+    rows += [f"{k},{s},{c},{ch},{v!r}" for k, s, c, ch, v in tr.rows()]
+    assert out == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_simulate_nonfinite_trajectory_exits_4(capsys, tmp_path, fmt, to_file):
+    system = tmp_path / "diverging.json"
+    system.write_text(json.dumps({"n": 1, "m": 1, "travel_time": 1.0, "K0": [], "L0": [],
+                                  "Ku": [[1.0]], "Lu": [[-1e200]], "Ky": [[0.0]], "Ly": [[1.0]]}))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": [[1.0, 2.0]]}))
+    out_path = tmp_path / f"traj.{fmt}"
+    argv = ["simulate", str(system), "--initial", str(profile), "--steps", "3",
+            "--format", fmt, "--json"] + (["-o", str(out_path)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert not out_path.exists()
+    assert err.startswith("internal error: ") and "non-finite at step 2" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--steps", "abc", "expected a non-negative integer, got 'abc'"),
+    ("--grid", "-3", "expected a positive integer, got '-3'"),
+    ("--grid", "0", "expected a positive integer, got '0'"),
+    ("--grid", "2.5", "expected a positive integer, got '2.5'"),
+])
+def test_simulate_bad_flag_values_are_plain_usage_errors(capsys, tmp_path, flag, value, message):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": np.zeros((3, 4)).tolist()}))
+    code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "split_three_channel.json"),
+                         "--initial", str(profile), flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: argument {flag}: {message}\n"

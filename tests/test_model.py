@@ -14,7 +14,7 @@ from phzero import (
     save_system,
     validate,
 )
-from phzero.model import system_doc
+from phzero.model import dumps, system_doc
 from phzero.zerodyn import reduce as zd_reduce
 
 
@@ -173,3 +173,13 @@ def test_result_roundtrip(tmp_path, split_sys):
     assert loaded.deflation_residual == res.deflation_residual
     assert all(np.array_equal(a, b) for a, b in zip(loaded.transform_chain, res.transform_chain))
     assert np.array_equal(loaded.reduced_state_map, res.reduced_state_map)
+
+
+def test_dumps_compact_and_indented_forms():
+    doc = {"b": [[1.0, -0.0], [5e-324, 0.1 + 0.2]], "a": {"z": 1, "y": "x"}}
+    compact = dumps(doc, compact=True)
+    assert compact == '{"a":{"y":"x","z":1},"b":[[1.0,-0.0],[5e-324,0.30000000000000004]]}\n'
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert json.loads(compact) == json.loads(dumps(doc))
+    with pytest.raises(ValueError):
+        dumps({"x": [float("inf")]}, compact=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phzero import PHSystem, discrete_reduce, simulate, simulate_zeroing
+from phzero.sim import Trajectory
 from phzero.ensembles import random_nulling_profile, random_stable_system
 from phzero.zerodyn import reduce as zd_reduce
 
@@ -109,3 +110,51 @@ def test_trajectory_export_round_trip(split_sys, rng):
     assert len(rows) == (3 * 3 * 4) + 2 * (1 * 4) * 2
     kinds = {r[0] for r in rows}
     assert kinds == {"state", "input", "output"}
+
+
+def _csv_from_rows(tr):
+    """The row-by-row CSV the export must reproduce byte for byte."""
+    rows = ["kind,step,cell,channel,value"]
+    rows += [f"{k},{s},{c},{ch},{v!r}" for k, s, c, ch, v in tr.rows()]
+    return "\n".join(rows) + "\n"
+
+
+AWKWARD = [-0.0, 5e-324, 1e-05, 1e16, 2.0, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("steps,n,m,grid", [(2, 3, 1, 6), (0, 3, 1, 4), (3, 2, 1, 0), (2, 3, 2, 5)],
+                         ids=["awkward-values", "steps-0", "no-cells", "m-2"])
+def test_to_csv_matches_rows(steps, n, m, grid):
+    def block(*shape):
+        return np.resize(np.array(AWKWARD), shape)
+
+    tr = Trajectory(states=block(steps + 1, n, grid), inputs=block(steps, m, grid),
+                    outputs=block(steps, m, grid), p=1.0)
+    text = tr.to_csv()
+    assert text == _csv_from_rows(tr)
+    assert len(text.splitlines()) == 1 + ((steps + 1) * n + 2 * steps * m) * grid
+    if grid == len(AWKWARD):
+        for value in ("-0.0", "5e-324", "1e-05", "1e+16", "2.0", "0.30000000000000004"):
+            assert f",0,{value}\n" in text
+
+
+def test_to_csv_matches_rows_on_a_simulation(split_sys, rng):
+    tr = simulate(split_sys, rng.uniform(-1, 1, (3, 7)), None, steps=5)
+    assert tr.to_csv() == _csv_from_rows(tr)
+
+
+def test_first_nonfinite_step():
+    states = np.ones((4, 2, 3))
+    inputs = np.zeros((3, 1, 3))
+    outputs = np.zeros((3, 1, 3))
+    tr = Trajectory(states=states, inputs=inputs, outputs=outputs, p=1.0)
+    assert tr.first_nonfinite_step() is None
+    states[3, 1, 2] = np.inf
+    assert tr.first_nonfinite_step() == 3
+    outputs[1, 0, 0] = np.nan
+    assert tr.first_nonfinite_step() == 1
+    inputs[0, 0, 2] = -np.inf
+    assert tr.first_nonfinite_step() == 0
+    empty = Trajectory(states=np.ones((1, 2, 0)), inputs=np.zeros((0, 1, 0)),
+                       outputs=np.zeros((0, 1, 0)), p=1.0)
+    assert empty.first_nonfinite_step() is None
