@@ -45,7 +45,7 @@ def run(path: Path) -> None:
     res = pz.reduce(system)
     print(f"  zero dynamics: k = {res.k} of n = {system.n}"
           + (" (full state space)" if res.full_state else
-             f", {len(res.transform_chain)} elimination(s), "
+             f", {res.constraints.shape[0]} elimination(s), "
              f"deflation residual {res.deflation_residual:.1e}"))
     if res.constraints.size:
         show("constraint rows", res.constraints)

@@ -66,7 +66,6 @@ from .zerodyn import (
     nulling_friend,
     reduce,
     vstar_discrete,
-    vstar_from_quadruple,
 )
 
 __all__ = [
@@ -83,5 +82,4 @@ __all__ = [
     "save_result", "save_system", "scan_zeros",
     "simulate", "simulate_zeroing", "spectral_radius", "split_commensurate",
     "subspace_intersect", "transfer_eval", "validate", "vstar_discrete",
-    "vstar_from_quadruple",
 ]

@@ -20,12 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import (
-    IllPosedError,
-    SingularMatrixError,
-    ConsistencyError,
-    UnsupportedSystemError,
-)
+from .errors import ConsistencyError, IllPosedError, SingularMatrixError
 from .model import PHSystem
 
 logger = logging.getLogger(__name__)
@@ -200,8 +195,8 @@ class TransmissionZeros:
     stacked zero pencil, listed with multiplicity.  ``s_values`` are
     principal values; the full zero set repeats with period ``2 pi / p``
     along the imaginary axis.  ``identically_zero`` flags a transfer
-    function that vanishes everywhere (the pencil has deficient normal
-    rank), in which case both root lists are empty.
+    matrix whose determinant vanishes everywhere (the pencil has
+    deficient normal rank), in which case both root lists are empty.
     """
 
     w_roots: tuple
@@ -241,7 +236,7 @@ def pencil_roots(kmat: np.ndarray, lmat: np.ndarray):
 
 
 def scan_zeros(sys: PHSystem) -> TransmissionZeros:
-    """Find all finite transmission zeros of a SISO system.
+    """Find all finite transmission zeros of a system.
 
     The zeros are the points ``w = exp(-s p)`` where the square stacked
     pencil ``[K0; Ky] + [L0; Ly] w`` loses rank, computed by
@@ -250,8 +245,6 @@ def scan_zeros(sys: PHSystem) -> TransmissionZeros:
     at ``w = 0`` correspond to zeros at infinite real part and are not
     reported.
     """
-    if sys.m != 1:
-        raise UnsupportedSystemError("zero scan is defined for SISO systems")
     e, f = output_nulling_stacks(sys)
     roots, vanishes = pencil_roots(-e, f)
     period = 2.0 * np.pi / sys.p

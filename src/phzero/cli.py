@@ -12,8 +12,9 @@ Subcommands::
     simulate <file> --initial F [...]   trajectory export + max |y| summary
 
 Exit codes: 0 success, 1 usage, 2 schema/parse error, 3 precondition
-failure (ill-posed, unsupported, singular zero pencil), 4 internal
-assertion or a simulated trajectory that goes non-finite.
+failure (ill-posed, unsupported, singular zero pencil, or a simulation
+too large for memory), 4 internal assertion or a simulated trajectory
+that goes non-finite.
 Machine-readable reports (``--json``) are byte-identical for identical
 inputs and flags.  ``--tol`` and ``--seed`` fall back to the
 ``PHZERO_TOL`` / ``PHZERO_SEED`` environment variables.
@@ -186,7 +187,7 @@ def _cmd_zerodyn(args) -> int:
     lines = [
         f"reduced order k = {result.k} of n = {system.n}"
         + (" (full state space)" if result.full_state else ""),
-        f"eliminations: {len(result.transform_chain)}  "
+        f"eliminations: {result.constraints.shape[0]}  "
         f"deflation residual: {result.deflation_residual:.3e}",
         *_matrix_lines("Kw", result.Kw),
         *_matrix_lines("Lw", result.Lw),
@@ -226,7 +227,7 @@ def _cmd_zeros(args) -> int:
     }
     doc = _report("zeros", {args.file: _digest(args.file)}, findings)
     if scan.identically_zero:
-        lines = ["identically zero transfer function (every s is a zero)"]
+        lines = ["det G identically zero: the transfer matrix is singular at every s"]
     elif not scan.w_roots:
         lines = ["no transmission zeros"]
     else:
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except (IllPosedError, UnsupportedSystemError, ReductionError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

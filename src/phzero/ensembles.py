@@ -120,11 +120,6 @@ def random_stable_system(
     return from_boundary(k, l, ky, ly, 1), radius
 
 
-def random_profile(rng: np.random.Generator, n: int, grid_n: int) -> np.ndarray:
-    """Generic piecewise-constant initial profile."""
-    return rng.uniform(-1.0, 1.0, size=(n, grid_n))
-
-
 def random_nulling_profile(
     rng: np.random.Generator, basis: np.ndarray, grid_n: int
 ) -> np.ndarray:

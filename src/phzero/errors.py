@@ -14,13 +14,14 @@ class SingularMatrixError(ValueError):
 
 
 class UnsupportedSystemError(ValueError):
-    """The operation is not defined for this system or input (e.g. MIMO
-    reduction, or a zeroing run from a profile outside the nulling set)."""
+    """The operation is not defined for this system or input (e.g. a
+    zeroing run from a profile outside the nulling set, or travel times
+    that are not commensurate)."""
 
 
 class ReductionError(RuntimeError):
     """The state-space reduction cannot proceed (the stacked zero pencil
-    is singular, which indicates an identically zero input-output map)."""
+    is singular: the transfer matrix is singular at every s)."""
 
 
 class ConsistencyError(AssertionError):

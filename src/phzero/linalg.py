@@ -140,9 +140,6 @@ class Subspace:
         r = int(np.count_nonzero(s > tol * scale))
         return cls(u[:, :r], tol)
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
     def project(self, vecs) -> np.ndarray:
         v = np.asarray(vecs)
         return self.basis @ (self.basis.conj().T @ v)
@@ -154,13 +151,6 @@ class Subspace:
             v = v.T
         res = v - self.project(v)
         return float(np.abs(res).max()) if res.size else 0.0
-
-    def contains(self, vecs, tol: float | None = None) -> bool:
-        v = np.atleast_2d(np.asarray(vecs, dtype=float))
-        if v.shape[0] != self.ambient_dim:
-            v = v.T
-        scale = max(1.0, float(np.abs(v).max()) if v.size else 0.0)
-        return self.distance(v) <= (self.tol if tol is None else tol) * scale
 
     def same_as(self, other: "Subspace", tol: float = 1e-9) -> bool:
         """Mutual containment of two subspaces at the given tolerance."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _mat(a) -> np.ndarray:
@@ -241,7 +241,10 @@ def _float_array(raw, name: str) -> np.ndarray:
 def _field_matrix(doc: dict, name: str, rows: int, cols: int) -> np.ndarray:
     if name not in doc:
         raise SchemaError(f"missing field '{name}'")
-    raw = doc[name]
+    return _matrix(doc[name], name, rows, cols)
+
+
+def _matrix(raw, name: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(raw, list):
         raise SchemaError(f"field '{name}': expected a list of rows")
     if rows == 0:
@@ -395,14 +398,22 @@ def save_result(res, path) -> None:
 
 
 def load_result(path):
+    """Load a reduction result written with this :data:`SCHEMA_VERSION`."""
     from .zerodyn import ZeroDynamicsResult  # deferred; zerodyn imports this module
 
     doc = _load_json(path)
     k = _field_int(doc, "k")
-    for name in ("p", "full_state", "Kw", "Lw", "constraints",
-                 "transform_chain", "Ku_tilde", "Lu_tilde", "deflation_residual"):
+    for name in ("p", "full_state", "Kw", "Lw", "constraints", "transform_chain",
+                 "Ku_tilde", "Lu_tilde", "deflation_residual", "schema_version"):
         if name not in doc:
             raise SchemaError(f"missing field '{name}'")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise SchemaError(
+            f"field 'schema_version': expected {SCHEMA_VERSION!r}, got {doc['schema_version']!r}"
+        )
+    chain = doc["transform_chain"]
+    if not isinstance(chain, list) or len(chain) > 1:
+        raise SchemaError("field 'transform_chain': expected a list of at most one matrix")
     constraints = doc["constraints"]
     n_constraints = len(constraints) if constraints else 0
     n = k + n_constraints
@@ -413,7 +424,7 @@ def load_result(path):
         Lw=_field_matrix(doc, "Lw", k, k),
         p=float(doc["p"]),
         constraints=_field_matrix(doc, "constraints", n_constraints, n),
-        transform_chain=tuple(np.asarray(mat, dtype=float) for mat in doc["transform_chain"]),
+        transform_chain=tuple(_matrix(mat, "transform_chain", k, n) for mat in chain),
         Ku_tilde=_field_matrix(doc, "Ku_tilde", m, k),
         Lu_tilde=_field_matrix(doc, "Lu_tilde", m, k),
         full_state=bool(doc["full_state"]),

@@ -15,6 +15,7 @@ every value both grids represent unchanged.  Time samples line up as
 ``inputs[s][:, j] = u((s + zeta_j) p)`` and likewise for the outputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,15 @@ import numpy as np
 from . import analysis
 from .errors import UnsupportedSystemError
 from .model import PHSystem
-from .zerodyn import ZeroDynamicsResult, nulling_friend, vstar_discrete
+from .zerodyn import ZeroDynamicsResult, nulling_friend
 
 #: Relative distance bound for initial profiles that must lie in the
 #: output-nulling set.
 MEMBERSHIP_TOL = 1e-10
+
+#: Most float64 values one numpy array can index; numpy rejects a larger
+#: shape with a ValueError before it tries to allocate.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -108,9 +113,20 @@ def initial_profile_to_state(z0) -> np.ndarray:
     return z0[:, ::-1].copy()
 
 
+def _fits(*shape: int) -> tuple:
+    """``shape``, after checking that numpy can index a float array of it.
+
+    Raises :class:`MemoryError` otherwise, as numpy does for a size it
+    can index but the machine cannot hold.
+    """
+    if math.prod(shape) > _MAX_FLOATS:
+        raise MemoryError(f"a float array of shape {shape} is too large to allocate")
+    return shape
+
+
 def _input_series(u, steps: int, m: int, grid_n: int) -> np.ndarray:
     if u is None:
-        return np.zeros((steps, m, grid_n))
+        return np.zeros(_fits(steps, m, grid_n))
     if callable(u):
         series = np.stack([np.atleast_2d(np.asarray(u(s), dtype=float)) for s in range(steps)])
     else:
@@ -128,7 +144,7 @@ def _run(d: analysis.DiscreteSystem, state0: np.ndarray, steps: int,
          inputs: np.ndarray | None = None, feedback: np.ndarray | None = None) -> Trajectory:
     n, grid_n = state0.shape
     m = d.m
-    states = np.empty((steps + 1, n, grid_n))
+    states = np.empty(_fits(steps + 1, n, grid_n))
     outs = np.empty((steps, m, grid_n))
     ins = np.empty((steps, m, grid_n))
     states[0] = state0
@@ -167,7 +183,7 @@ def simulate_zeroing(
 
     ``mode`` selects how the zeroing input is generated: ``"reduction"``
     uses the reduced-boundary functional of ``zd``; ``"friend"`` solves
-    for an invariance feedback on the output-nulling subspace.  Both must
+    for an invariance feedback on ``zd.nulling_subspace()``.  Both must
     produce an identically zero output; the inputs themselves may differ.
 
     The realized output sits at the rounding floor relative to the state
@@ -193,8 +209,7 @@ def simulate_zeroing(
     if mode == "reduction":
         feedback = zd.zeroing_feedback()
     elif mode == "friend":
-        friend = nulling_friend(d, vstar_discrete(*analysis.output_nulling_stacks(sys)))
-        feedback = friend.Fd
+        feedback = nulling_friend(d, v).Fd
     else:
         raise UnsupportedSystemError(f"unknown zeroing mode {mode!r}")
     return _run(d, state0, steps, feedback=feedback)

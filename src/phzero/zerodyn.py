@@ -2,18 +2,16 @@
 constructive boundary-matrix reduction.
 
 On a trajectory with zero output the traces obey ``E z(0,t) = F z(1,t)``
-with the stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]``.  When the pencil
-``F - lambda E`` is regular, one ordered QZ decomposition
-(:func:`_deflate`; Emami-Naeini & Van Dooren, Automatica 1982) gives
-everything in O(n^3): the right deflating subspace ``V`` of its finite
-eigenvalues and the matrix ``M`` with ``E V M = F V``.
+with the stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]``, both n-by-n for
+any number of inputs.  When the pencil ``F - lambda E`` is regular, one
+ordered QZ decomposition (:func:`_deflate`; Emami-Naeini & Van Dooren,
+Automatica 1982) gives everything in O(n^3): the right deflating
+subspace ``V`` of its finite eigenvalues and the matrix ``M`` with
+``E V M = F V``.
 
 * :func:`vstar_discrete` returns ``V``, the largest subspace with
   ``F V ⊆ E V``; singular pencils fall back to the subspace iteration
   ``V <- V ∩ preimage(F, E V)``;
-* :func:`vstar_from_quadruple` runs the classical output-nulling
-  iteration on the one-traversal quadruple ``(Ad, Bd, Cd, Dd)``, an
-  independent route to the same subspace;
 * :func:`reduce` writes the zero dynamics as the boundary system
   ``w(0,t) = M w(1,t)`` on the reduced state ``w = V^T z``.  The
   by-products are the constraint rows (the complement of ``V``, which
@@ -29,13 +27,7 @@ import scipy.linalg
 
 from . import analysis, linalg
 from .analysis import output_nulling_stacks
-from .errors import (
-    ConsistencyError,
-    IllPosedError,
-    ReductionError,
-    SingularMatrixError,
-    UnsupportedSystemError,
-)
+from .errors import ConsistencyError, IllPosedError, ReductionError, SingularMatrixError
 from .linalg import Subspace
 from .model import PHSystem
 
@@ -132,32 +124,6 @@ def _vstar_iteration(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
     raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
 
 
-def vstar_from_quadruple(d: analysis.DiscreteSystem, tol: float = linalg.DEFAULT_TOL) -> Subspace:
-    """Classical output-nulling iteration on the one-traversal quadruple.
-
-    Largest ``V`` such that every ``v`` in ``V`` admits an input ``u``
-    with ``Ad v + Bd u`` in ``V`` and ``Cd v + Dd u = 0``.  Must agree
-    with :func:`vstar_discrete` on the same system.
-    """
-    n = d.n
-    m_out = d.Cd.shape[0]
-    stack = np.block([[d.Ad, d.Bd], [d.Cd, d.Dd]])
-    v = Subspace.full(n, tol)
-    for _ in range(n + 1):
-        target_basis = np.vstack([v.basis, np.zeros((m_out, v.dim))])
-        target = Subspace.from_span(target_basis, tol)
-        pairs = linalg.preimage(stack, target)
-        # pair-basis columns are unit vectors, so judge the state block
-        # against scale 1 (it may be legitimately tiny when the admissible
-        # pairs are input-dominated)
-        projected = Subspace.from_span(pairs.basis[:n, :], tol, anchor=1.0)
-        candidate = linalg.subspace_intersect(v, projected)
-        if candidate.dim == v.dim:
-            return candidate
-        v = candidate
-    raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
-
-
 @dataclass(frozen=True)
 class NullingFriend:
     """State feedback keeping ``V`` invariant while nulling the output."""
@@ -207,10 +173,10 @@ class ZeroDynamicsResult:
     ``Kw w(0,t) + Lw w(1,t) = 0`` on the k-dimensional reduced state,
     ``constraints @ z = 0`` are the eliminated directions (rows in the
     original channel coordinates, unit norm, first nonzero entry
-    positive), ``transform_chain`` holds one state map per eliminated
-    direction, each keeping all but its last coordinate (see
-    :attr:`reduced_state_map`), and ``u = Ku_tilde w(0,t) +
-    Lu_tilde w(1,t)`` reproduces the output-zeroing input.
+    positive), ``transform_chain`` holds the state maps that compose to
+    :attr:`reduced_state_map` (``()`` on the full state space, ``(V^T,)``
+    otherwise), and ``u = Ku_tilde w(0,t) + Lu_tilde w(1,t)`` reproduces
+    the output-zeroing input.
     ``deflation_residual`` is ``|E V M - F V|`` of the QZ deflation
     behind the reduction (0 on the full state space).
     """
@@ -229,16 +195,16 @@ class ZeroDynamicsResult:
     @cached_property
     def reduced_state_map(self) -> np.ndarray:
         """The k-by-n map ``W`` with ``w = W z`` on the zero dynamics."""
-        n = self.k + self.constraints.shape[0]
-        w = np.eye(n)
+        w = np.eye(self.k + self.constraints.shape[0])
         for mat in self.transform_chain:
-            w = (mat @ w)[: mat.shape[0] - 1]
+            w = mat @ w
         return w
 
     def nulling_subspace(self, tol: float = linalg.DEFAULT_TOL) -> Subspace:
-        """Pointwise state set of the zero dynamics (kernel of the
+        """Pointwise state set of the zero dynamics: the span of the
+        orthonormal rows of :attr:`reduced_state_map` (the kernel of the
         constraint rows)."""
-        return linalg.nullspace(self.constraints, tol)
+        return Subspace(self.reduced_state_map.T, tol)
 
     @cached_property
     def reduced_step(self) -> np.ndarray:
@@ -253,14 +219,10 @@ class ZeroDynamicsResult:
         On the zero dynamics ``w(0,t) = reduced_step @ w(1,t)``, so the
         input functional collapses to a feedback on the current traveling
         profile: ``u_d = (Ku_tilde @ reduced_step + Lu_tilde) W z_d``.
-        The feedback is composed with the orthogonal projector onto the
-        nulling set, which leaves it unchanged where the dynamics live but
-        stops rounding noise in the eliminated directions from being
-        re-amplified when the zero dynamics are unstable.
+        ``W`` has orthonormal rows spanning the nulling set, so the gain
+        already vanishes on the eliminated directions.
         """
-        gain = (self.Ku_tilde @ self.reduced_step + self.Lu_tilde) @ self.reduced_state_map
-        basis = self.nulling_subspace().basis
-        return gain @ (basis @ basis.conj().T)
+        return (self.Ku_tilde @ self.reduced_step + self.Lu_tilde) @ self.reduced_state_map
 
     def input_functional_original(self) -> tuple[np.ndarray, np.ndarray]:
         """The zeroing input written on the original traces:
@@ -285,16 +247,15 @@ def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult
     """Construct the zero dynamics of a well-posed uniform-speed system.
 
     If the stacked matrix ``[K0; Ky]`` is invertible the zero dynamics
-    live on the full state space and no reduction runs.  Otherwise (SISO
-    only) the ordered QZ of :func:`_deflate` gives ``V`` (the first ``k``
-    columns of ``Z``) and ``E V M = F V``, so on ``w = V^T z`` the zero
-    dynamics are ``Kw = I``, ``Lw = -M``.  The constraint rows are the
-    trailing columns of ``Z``, last first, and the transform chain is
-    ``(Z^T, I_{n-1}, ..., I_{k+1})``: one map per eliminated direction,
-    composing to ``V^T``.
+    live on the full state space and no reduction runs.  Otherwise, for
+    any number of inputs, the ordered QZ of :func:`_deflate` gives ``V``
+    (the first ``k`` columns of ``Z``) and ``E V M = F V``, so on
+    ``w = V^T z`` the zero dynamics are ``Kw = I``, ``Lw = -M``.  The
+    constraint rows are the trailing columns of ``Z``, last first, and
+    the transform chain is ``(V^T,)``.
 
     Raises :class:`ReductionError` when the pencil is singular, i.e. the
-    transfer function is identically zero.
+    transfer matrix is singular at every ``s``.
     """
     if not analysis.check_well_posed(sys, tol):
         raise IllPosedError("boundary matrix [K0; Ku] is singular")
@@ -312,16 +273,11 @@ def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult
             Lu_tilde=sys.Lu.copy(),
             full_state=True,
         )
-    if sys.m != 1:
-        raise UnsupportedSystemError(
-            "reduction with a singular [K0; Ky] is only supported for "
-            "single-input single-output systems"
-        )
     deflation = _deflate(e, f)
     if deflation is None:
         raise ReductionError(
-            "the stacked zero pencil [K0; Ky] + [L0; Ly] w is singular; "
-            "the transfer function may be identically zero"
+            "the stacked zero pencil [K0; Ky] + [L0; Ly] w is singular: the "
+            "transfer matrix is singular at every s (det G identically zero)"
         )
     z, k, m, residual = deflation
     v = z[:, :k]
@@ -332,7 +288,7 @@ def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult
         Lw=0.0 - m,  # -m would turn the zeros of m into -0.0
         p=sys.p,
         constraints=np.array(constraints).reshape(n - k, n),
-        transform_chain=(z.T.copy(),) + tuple(np.eye(d) for d in range(n - 1, k, -1)),
+        transform_chain=(v.T.copy(),),
         Ku_tilde=sys.Ku @ v,
         Lu_tilde=sys.Lu @ v,
         full_state=False,
@@ -353,7 +309,7 @@ class CrossCheckReport:
 
 
 def cross_check(sys: PHSystem) -> CrossCheckReport:
-    """Verify that the two zero-dynamics routes agree on a SISO system.
+    """Verify that the two zero-dynamics routes agree.
 
     Asserts (raising :class:`ConsistencyError` otherwise) that the
     output-nulling subspace dimension equals the reduced order, that the
@@ -363,8 +319,6 @@ def cross_check(sys: PHSystem) -> CrossCheckReport:
     every root of ``det(Kw + Lw w)`` is a transmission zero of the
     original system.
     """
-    if sys.m != 1:
-        raise UnsupportedSystemError("cross_check is defined for SISO systems")
     res = reduce(sys)
     v = vstar_discrete(*output_nulling_stacks(sys))
     if v.dim != res.k:

@@ -1,5 +1,9 @@
 """Independent oracles used by the test suite.
 
+:func:`vstar_from_quadruple` is the classical output-nulling iteration on
+the one-traversal quadruple, a second route to the subspace that
+:func:`phzero.vstar_discrete` computes from the boundary stacks.
+
 :func:`lu_decompose` (a row-pivoted triangular factorization) and
 :func:`schur_block_inverse` (the left blocks of a 2x2-partitioned
 inverse) are the hand-rolled kernels of the earlier elimination-based
@@ -17,8 +21,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from phzero import linalg
+from phzero.analysis import DiscreteSystem
 from phzero.canonicalize import common_travel_time
-from phzero.errors import SingularMatrixError
+from phzero.errors import ConsistencyError, SingularMatrixError
+from phzero.linalg import Subspace
+
+
+def vstar_from_quadruple(d: DiscreteSystem, tol: float = linalg.DEFAULT_TOL) -> Subspace:
+    """Classical output-nulling iteration on the one-traversal quadruple.
+
+    Largest ``V`` such that every ``v`` in ``V`` admits an input ``u``
+    with ``Ad v + Bd u`` in ``V`` and ``Cd v + Dd u = 0``.  Must agree
+    with :func:`phzero.vstar_discrete` on the same system.
+    """
+    n = d.n
+    m_out = d.Cd.shape[0]
+    stack = np.block([[d.Ad, d.Bd], [d.Cd, d.Dd]])
+    v = Subspace.full(n, tol)
+    for _ in range(n + 1):
+        target_basis = np.vstack([v.basis, np.zeros((m_out, v.dim))])
+        target = Subspace.from_span(target_basis, tol)
+        pairs = linalg.preimage(stack, target)
+        # pair-basis columns are unit vectors, so judge the state block
+        # against scale 1 (it may be legitimately tiny when the admissible
+        # pairs are input-dominated)
+        projected = Subspace.from_span(pairs.basis[:n, :], tol, anchor=1.0)
+        candidate = linalg.subspace_intersect(v, projected)
+        if candidate.dim == v.dim:
+            return candidate
+        v = candidate
+    raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
 
 
 @dataclass(frozen=True)

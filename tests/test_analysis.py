@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from phzero import (
     PHSystem,
     SingularMatrixError,
-    UnsupportedSystemError,
     check_well_posed,
     discrete_reduce,
     feedthrough,
@@ -209,9 +208,17 @@ def test_scan_zeros_agrees_with_singularity_test(split_sys):
         assert np.abs(g).max() <= 1e-8
 
 
-def test_scan_zeros_requires_siso(rng):
-    with pytest.raises(UnsupportedSystemError):
-        scan_zeros(random_square_system(rng, n=4, m=2))
+def test_scan_zeros_mimo(rng):
+    # every zero of a square multi-input system makes its transfer matrix
+    # singular
+    for i in range(10):
+        sysr = random_square_system(rng, n=6, m=2 + i % 3)
+        scan = scan_zeros(sysr)
+        assert not scan.identically_zero and scan.w_roots
+        for s in scan.s_values:
+            assert is_transmission_zero(sysr, s)
+            sv = np.linalg.svd(transfer_eval(sysr, s).value, compute_uv=False)
+            assert sv[-1] <= 1e-7 * max(1.0, sv[0])
 
 
 def test_pencil_roots_multiplicity_and_dropped_eigenvalues():

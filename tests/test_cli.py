@@ -36,7 +36,7 @@ def test_corpus_end_to_end(capsys, name):
         doc = json.loads(out)
         assert doc["command"] == command[0]
         assert doc["inputs"]
-        assert doc["versions"]["schema"] == "2"
+        assert doc["versions"]["schema"] == "3"
 
 
 @pytest.mark.parametrize("name", CORPUS_FILES)
@@ -140,15 +140,21 @@ def test_zerodyn_split_report(capsys, tmp_path):
     assert loaded.k == 2
 
 
-def test_zerodyn_mimo_exit_code(capsys, tmp_path, rng):
+def test_zerodyn_and_zeros_mimo_document(capsys, tmp_path, rng):
     from phzero.ensembles import random_square_system
     from phzero.model import save_system
 
-    sysr = random_square_system(rng, n=4, m=2, singular_stack=True)
+    sysr = random_square_system(rng, n=6, m=3, singular_stack=True)
     path = tmp_path / "mimo.json"
     save_system(sysr, path)
-    code, _, err = run(capsys, "zerodyn", str(path))
-    assert code == 3
+    code, out, err = run(capsys, "zerodyn", str(path), "--json")
+    assert code == 0, err
+    result = json.loads(out)["findings"]["result"]
+    assert result["k"] + len(result["constraints"]) == 6 and not result["full_state"]
+    assert np.asarray(result["Ku_tilde"]).shape == (3, result["k"])
+    code, out, err = run(capsys, "zeros", str(path), "--json")
+    assert code == 0, err
+    assert not json.loads(out)["findings"]["identically_zero"]
 
 
 def test_zeros_identically_zero_output(capsys, tmp_path):
@@ -247,6 +253,19 @@ def test_simulate_zeroing_json(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["findings"]["max_abs_output"] <= 1e-10 * max(1.0, np.abs(z0).max())
     assert doc["trajectory"]["steps"] == 20
+
+
+@pytest.mark.parametrize("mode", ["open", "zeroing"])
+def test_simulate_unallocatable_run_is_a_precondition_error(capsys, tmp_path, mode):
+    # numpy refuses this many values before allocating anything
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": np.zeros((3, 4)).tolist()}))
+    code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "split_three_channel.json"),
+                         "--initial", str(profile), "--mode", mode,
+                         "--steps", "100000000000000000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("steps", ["-3", "-1", "2.5"])

@@ -14,7 +14,7 @@ from phzero import (
     save_system,
     validate,
 )
-from phzero.model import dumps, system_doc
+from phzero.model import dumps, result_doc, system_doc
 from phzero.zerodyn import reduce as zd_reduce
 
 
@@ -157,6 +157,22 @@ def test_result_roundtrip_fully_constrained(tmp_path):
     assert loaded.k == 0
     assert np.array_equal(loaded.constraints, res.constraints)
     assert loaded.Ku_tilde.shape == (1, 0)
+    assert res.reduced_state_map.shape == (0, 1)
+    assert np.array_equal(loaded.reduced_state_map, res.reduced_state_map)
+
+
+def test_result_of_an_older_schema_is_rejected(tmp_path, split_sys):
+    # schema "2" stored a chain of eliminations, not the state map
+    doc = json.loads(dumps(result_doc(zd_reduce(split_sys))))
+    doc["schema_version"] = "2"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="schema_version"):
+        load_result(path)
+    del doc["schema_version"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="schema_version"):
+        load_result(path)
 
 
 def test_result_roundtrip(tmp_path, split_sys):

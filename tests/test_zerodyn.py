@@ -7,7 +7,6 @@ from phzero import (
     PHSystem,
     ReductionError,
     Subspace,
-    UnsupportedSystemError,
     cross_check,
     discrete_reduce,
     is_transmission_zero,
@@ -16,7 +15,6 @@ from phzero import (
     scan_zeros,
     simulate_zeroing,
     vstar_discrete,
-    vstar_from_quadruple,
 )
 from phzero.analysis import DiscreteSystem, pencil_roots
 from phzero.ensembles import random_siso_system, random_square_system
@@ -25,6 +23,7 @@ from phzero.zerodyn import _deflate, _vstar_iteration
 from phzero.zerodyn import reduce as zd_reduce
 
 from conftest import criterion_6_ensemble
+from oracles import vstar_from_quadruple
 
 
 def span_equal(subspace, rows, tol=1e-9):
@@ -164,7 +163,7 @@ def test_reduce_split_golden(split_sys):
 
 def test_reduce_ring_golden(ring_sys):
     res = zd_reduce(ring_sys)
-    assert res.k == 1 and len(res.transform_chain) == 2
+    assert res.k == 1 and res.constraints.shape[0] == 2
     assert span_equal(Subspace(res.reduced_state_map.T), [[0, 0, 1]], tol=1e-12)
     assert_allclose(res.Kw, [[1.0]], atol=1e-12)
     assert_allclose(res.Lw, [[0.0]], atol=1e-12)
@@ -216,12 +215,33 @@ def test_reduce_identity_and_accounting(rng):
         assert np.abs(e @ lift @ res.reduced_step - f @ lift).max() <= 1e-9
         for mat in res.transform_chain:
             assert np.linalg.cond(mat) < 1e12
+        gain = res.zeroing_feedback()
+        assert np.abs(gain @ res.constraints.T).max() <= 1e-12 * max(1.0, np.abs(gain).max())
 
 
-def test_reduce_mimo_unsupported(rng):
-    sysr = random_square_system(rng, n=4, m=2, singular_stack=True)
-    with pytest.raises(UnsupportedSystemError):
-        zd_reduce(sysr)
+def test_reduce_mimo(rng):
+    # square systems with m = 2..4 inputs and a singular [K0; Ky] reduce
+    # by the same QZ deflation as single-input ones
+    for i in range(60):
+        m = 2 + i % 3
+        sysr = random_square_system(rng, n=int(rng.integers(m + 1, 13)), m=m,
+                                    singular_stack=True)
+        res = zd_reduce(sysr)
+        e, f = output_nulling_stacks(sysr)
+        assert not res.full_state and res.k + res.constraints.shape[0] == sysr.n
+        assert res.k == vstar_discrete(e, f).dim == vstar_from_quadruple(
+            discrete_reduce(sysr)).dim, f"sample {i}"
+        lift = res.reduced_state_map.T
+        assert np.abs(e @ lift @ res.reduced_step - f @ lift).max() <= 1e-9 * max(
+            1.0, np.abs(res.reduced_step).max()), f"sample {i}"
+        gain = res.zeroing_feedback()
+        assert np.abs(gain @ res.constraints.T).max() <= 1e-12 * max(1.0, np.abs(gain).max())
+        rep = cross_check(sysr)
+        assert rep.k == rep.vstar_dim == res.k
+        z0 = res.nulling_subspace().basis @ rng.uniform(-1, 1, (res.k, 8))
+        for mode in ("reduction", "friend"):
+            tr = simulate_zeroing(sysr, res, z0, steps=1, mode=mode)
+            assert tr.max_output() <= 1e-10 * np.abs(tr.states).max(), (i, mode)
 
 
 def test_reduce_advances_past_inadmissible_shift(rng):
@@ -269,7 +289,7 @@ def _unit_ring(n, d, rng):
 
 
 DEEP_RINGS = [(16, d) for d in (1, 8, 14, 15)] + [(64, d) for d in (4, 24, 40, 63)] \
-    + [(128, d) for d in (1, 64, 127)]
+    + [(128, d) for d in (1, 64, 127)] + [(256, d) for d in (4, 128, 255)]
 
 
 @pytest.mark.parametrize("n, d", DEEP_RINGS)
@@ -277,7 +297,7 @@ def test_reduce_deep_ring(n, d):
     sysr = _unit_ring(n, d, np.random.default_rng(d))
     known = Subspace(np.eye(n)[:, d:])
     res = zd_reduce(sysr)
-    assert res.k == n - d and len(res.transform_chain) == d
+    assert res.k == n - d and res.constraints.shape[0] == d
     assert np.abs(res.constraints @ known.basis).max() <= 1e-12
     e, f = output_nulling_stacks(sysr)
     assert res.deflation_residual <= 1e-12 * (np.linalg.norm(e) + np.linalg.norm(f))
