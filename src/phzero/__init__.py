@@ -38,14 +38,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedSystemError,
 )
-from .linalg import (
-    Subspace,
-    nullspace,
-    preimage,
-    rank,
-    spectral_radius,
-    subspace_intersect,
-)
+from .linalg import Subspace, rank, spectral_radius
 from .model import (
     MultiSpeedSystem,
     PHSystem,
@@ -59,27 +52,23 @@ from .model import (
 )
 from .sim import Trajectory, simulate, simulate_zeroing
 from .zerodyn import (
-    CrossCheckReport,
     NullingFriend,
     ZeroDynamicsResult,
-    cross_check,
     nulling_friend,
     reduce,
     vstar_discrete,
 )
 
 __all__ = [
-    "ConsistencyError", "CrossCheckReport", "DiagonalizedConstant",
-    "DiscreteSystem", "IllPosedError", "MultiSpeedSystem",
-    "NullingFriend", "PHSystem", "RationalSpeed", "RawConstantSystem",
-    "ReductionError", "SchemaError", "SingularMatrixError", "Subspace",
-    "Trajectory", "TransferSample", "TransmissionZeros",
-    "UnsupportedSystemError", "ZeroDynamicsResult", "check_well_posed",
-    "cross_check", "diagonalize_constant", "discrete_reduce", "feedthrough",
-    "is_exponentially_stable", "is_transmission_zero", "load_result",
-    "load_system", "nulling_friend", "nullspace",
-    "output_nulling_stacks", "preimage", "rank", "reduce", "reflect_positive",
-    "save_result", "save_system", "scan_zeros",
-    "simulate", "simulate_zeroing", "spectral_radius", "split_commensurate",
-    "subspace_intersect", "transfer_eval", "validate", "vstar_discrete",
+    "ConsistencyError", "DiagonalizedConstant", "DiscreteSystem",
+    "IllPosedError", "MultiSpeedSystem", "NullingFriend", "PHSystem",
+    "RationalSpeed", "RawConstantSystem", "ReductionError", "SchemaError",
+    "SingularMatrixError", "Subspace", "Trajectory", "TransferSample",
+    "TransmissionZeros", "UnsupportedSystemError", "ZeroDynamicsResult",
+    "check_well_posed", "diagonalize_constant", "discrete_reduce",
+    "feedthrough", "is_exponentially_stable", "is_transmission_zero",
+    "load_result", "load_system", "nulling_friend", "output_nulling_stacks",
+    "rank", "reduce", "reflect_positive", "save_result", "save_system",
+    "scan_zeros", "simulate", "simulate_zeroing", "spectral_radius",
+    "split_commensurate", "transfer_eval", "validate", "vstar_discrete",
 ]

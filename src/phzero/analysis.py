@@ -31,15 +31,16 @@ STABILITY_MARGIN = 1e-9
 #: Relative singularity threshold for transmission-zero tests.
 ZERO_TEST_TOL = 1e-8
 
-#: Fixed points on the unit circle (at angles 1, 2 and 3 rad, none a root
-#: of unity) where the normal rank of a zero pencil is sampled: a regular
-#: pencil is singular at no more than n points, so it is nonsingular at
-#: one of these unless a root sits on each.
-NORMAL_RANK_POINTS = tuple(np.exp(1j * np.array([1.0, 2.0, 3.0])))
-
 #: Relative size of ``beta`` (``alpha``) below which a generalized
 #: eigenvalue ``alpha / beta`` counts as infinite (as zero).
 EIG_DROP_TOL = 1e-9
+
+#: A generalized eigenvalue pair ``(alpha, beta)`` of a square pencil
+#: ``(A, B)`` with ``|(alpha, beta)|`` below this fraction of
+#: ``max(|A|, |B|)`` (Frobenius norms) is the rounding image of ``(0, 0)``
+#: and marks a singular pencil.  Regular pencils keep every pair many
+#: orders of magnitude above it.
+SINGULAR_PAIR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,21 @@ class TransmissionZeros:
     s_period: float
 
 
+def finite_pairs(alpha, beta) -> np.ndarray:
+    """Mask of the generalized eigenvalue pairs whose ``alpha / beta`` is
+    finite: ``|beta|`` above :data:`EIG_DROP_TOL` of ``|(alpha, beta)|``."""
+    return np.abs(beta) > EIG_DROP_TOL * np.hypot(np.abs(alpha), np.abs(beta))
+
+
+def singular_pencil(alpha, beta, a, b) -> bool:
+    """True iff the square pencil ``(a, b)`` with eigenvalue pairs
+    ``(alpha, beta)`` is singular: some pair is at rounding level,
+    :data:`SINGULAR_PAIR_TOL`.  The one test of this verdict, shared by
+    :func:`pencil_roots` and the QZ deflation of :mod:`phzero.zerodyn`."""
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    return bool(np.any(np.hypot(np.abs(alpha), np.abs(beta)) <= SINGULAR_PAIR_TOL * scale))
+
+
 def pencil_roots(kmat: np.ndarray, lmat: np.ndarray):
     """Finite, nonzero ``w`` at which the square pencil ``kmat + lmat w``
     is singular.
@@ -214,22 +230,17 @@ def pencil_roots(kmat: np.ndarray, lmat: np.ndarray):
     decomposition, listed with multiplicity and sorted by (real, imag).
     Infinite eigenvalues (``beta`` negligible) and eigenvalues at the
     origin (``alpha`` negligible, i.e. at infinite real part in ``s``)
-    are dropped.  ``identically_zero`` is true when the pencil is
-    numerically singular at every one of :data:`NORMAL_RANK_POINTS`, i.e.
-    its normal rank is deficient and every ``w`` is a root; the root list
-    is then empty.
+    are dropped.  ``identically_zero`` is the :func:`singular_pencil`
+    verdict on the same pairs: the pencil's normal rank is deficient and
+    every ``w`` is a root; the root list is then empty.
     """
     if kmat.shape[0] == 0:
         return (), False
-    for w in NORMAL_RANK_POINTS:
-        sv = np.linalg.svd(kmat + lmat * w, compute_uv=False)
-        if sv[-1] > ZERO_TEST_TOL * sv[0]:
-            break
-    else:
-        return (), True
     alpha, beta = scipy.linalg.eig(kmat, -lmat, right=False, homogeneous_eigvals=True)
+    if singular_pencil(alpha, beta, kmat, lmat):
+        return (), True
     size = np.hypot(np.abs(alpha), np.abs(beta))
-    finite = (np.abs(beta) > EIG_DROP_TOL * size) & (np.abs(alpha) > EIG_DROP_TOL * size)
+    finite = finite_pairs(alpha, beta) & (np.abs(alpha) > EIG_DROP_TOL * size)
     roots = [complex(a / b) for a, b in zip(alpha[finite], beta[finite])]
     roots.sort(key=lambda z: (round(z.real, 10), round(z.imag, 10)))
     return tuple(roots), False
@@ -241,7 +252,7 @@ def scan_zeros(sys: PHSystem) -> TransmissionZeros:
     The zeros are the points ``w = exp(-s p)`` where the square stacked
     pencil ``[K0; Ky] + [L0; Ly] w`` loses rank, computed by
     :func:`pencil_roots` as its finite generalized eigenvalues; the
-    identically-zero verdict comes from the pencil's normal rank.  Roots
+    identically-zero verdict comes from the QZ pairs of the same call.  Roots
     at ``w = 0`` correspond to zeros at infinite real part and are not
     reported.
     """

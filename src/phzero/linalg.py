@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularMatrixError
-
 #: Default relative threshold for rank decisions.  The systems this package
 #: targets have small-integer boundary matrices, so rank gaps are far from
 #: the threshold; override per call where needed.
@@ -53,17 +51,6 @@ def cond2(a) -> float:
 
 def is_invertible(a, cond_limit: float = COND_LIMIT) -> bool:
     return cond2(a) < cond_limit
-
-
-def solve(a, b):
-    """Solve ``a x = b`` after an explicit conditioning check."""
-    a = as_matrix(a)
-    if not is_invertible(a):
-        raise SingularMatrixError(
-            f"matrix of shape {a.shape} is numerically singular "
-            f"(condition >= {COND_LIMIT:g})"
-        )
-    return np.linalg.solve(a, np.asarray(b))
 
 
 def rank(mat, tol: float = DEFAULT_TOL) -> int:
@@ -112,14 +99,6 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def full(cls, n: int, tol: float = DEFAULT_TOL) -> "Subspace":
-        return cls(np.eye(n), tol)
-
-    @classmethod
-    def zero(cls, n: int, tol: float = DEFAULT_TOL) -> "Subspace":
-        return cls(np.zeros((n, 0)), tol)
-
-    @classmethod
     def from_span(cls, cols, tol: float = DEFAULT_TOL, anchor: float | None = None) -> "Subspace":
         """Orthonormalize a spanning set (rank decided at ``tol``).
 
@@ -162,63 +141,6 @@ class Subspace:
             two_norm(self.basis - other.project(self.basis)) <= tol
             and two_norm(other.basis - self.project(other.basis)) <= tol
         )
-
-
-def nullspace(mat, tol: float = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the (right) null space of ``mat``.
-
-    The dimension is ``cols - rank(mat, tol)``; the basis vectors are the
-    trailing right singular vectors.
-    """
-    a = as_matrix(mat)
-    n = a.shape[1]
-    if a.shape[0] == 0 or a.size == 0 or not np.any(a):
-        return Subspace(np.eye(n), tol)
-    r = rank(a, tol)
-    vh = np.linalg.svd(a)[2]
-    return Subspace(vh[r:, :].conj().T, tol)
-
-
-def subspace_intersect(v: Subspace, w: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
-    if v.ambient_dim != w.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: {v.ambient_dim} vs {w.ambient_dim}"
-        )
-    tol = min(v.tol, w.tol)
-    if v.dim == 0 or w.dim == 0:
-        return Subspace.zero(v.ambient_dim, tol)
-    if v.dim == v.ambient_dim:
-        return Subspace(w.basis, tol)
-    if w.dim == w.ambient_dim:
-        return Subspace(v.basis, tol)
-    # (a, b) with V a = W b <=> [V | -W] (a; b) = 0; the V a part spans V ∩ W.
-    pairs = nullspace(np.hstack([v.basis, -w.basis]), tol)
-    vecs = v.basis @ pairs.basis[: v.dim, :]
-    return Subspace.from_span(vecs, tol)
-
-
-def preimage(f, w: Subspace) -> Subspace:
-    """The set ``{v : f v in w}``, via the null space of ``(I - P_w) f``.
-
-    Membership is judged against the scale of ``f`` itself,
-    ``norm((I - P_w) f v) <= tol * norm(f) * norm(v)``: the residual map can
-    be pure rounding noise (when ``f`` maps everything into ``w``) and must
-    not set the threshold.
-    """
-    fm = as_matrix(f)
-    if fm.shape[0] != w.ambient_dim:
-        raise ValueError(
-            f"map has {fm.shape[0]} rows but target lives in "
-            f"{w.ambient_dim} dimensions"
-        )
-    residual_map = fm - w.project(fm)
-    anchor = two_norm(fm)
-    if anchor == 0.0:
-        return Subspace.full(fm.shape[1], w.tol)
-    s, vh = np.linalg.svd(residual_map)[1:]
-    r = int(np.count_nonzero(s > w.tol * anchor))
-    return Subspace(vh[r:, :].conj().T, w.tol)
 
 
 def spectral_radius(mat) -> float:

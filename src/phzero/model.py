@@ -21,6 +21,7 @@ condition), ``z(1, t)`` the outgoing one.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -269,6 +270,19 @@ def _field_int(doc: dict, name: str) -> int:
     return value
 
 
+def _field_number(doc: dict, name: str, positive: bool = True) -> float:
+    """Field ``name`` as a finite float, positive (non-negative when
+    ``positive`` is false); anything else is a schema error."""
+    if name not in doc:
+        raise SchemaError(f"missing field '{name}'")
+    value = doc[name]
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not (value > 0 if positive else value >= 0) or not value <= sys.float_info.max):
+        kind = "positive" if positive else "non-negative"
+        raise SchemaError(f"field '{name}': expected a {kind} number, got {value!r}")
+    return float(value)
+
+
 def _matrix_doc(mat: np.ndarray):
     return mat.tolist()
 
@@ -285,11 +299,8 @@ def load_system(path):
     if has_p == has_speeds:
         raise SchemaError("exactly one of 'travel_time' or 'speeds' must be present")
     if has_p:
-        p = doc["travel_time"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not p > 0:
-            raise SchemaError(f"field 'travel_time': expected a positive number, got {p!r}")
         return PHSystem(
-            p=float(p),
+            p=_field_number(doc, "travel_time"),
             K0=_field_matrix(doc, "K0", n - m, n),
             L0=_field_matrix(doc, "L0", n - m, n),
             Ku=_field_matrix(doc, "Ku", m, n),
@@ -414,19 +425,23 @@ def load_result(path):
     chain = doc["transform_chain"]
     if not isinstance(chain, list) or len(chain) > 1:
         raise SchemaError("field 'transform_chain': expected a list of at most one matrix")
-    constraints = doc["constraints"]
-    n_constraints = len(constraints) if constraints else 0
+    for name in ("constraints", "Ku_tilde"):
+        if not isinstance(doc[name], list):
+            raise SchemaError(f"field '{name}': expected a list of rows")
+    if not isinstance(doc["full_state"], bool):
+        raise SchemaError(f"field 'full_state': expected true or false, got {doc['full_state']!r}")
+    n_constraints = len(doc["constraints"])
     n = k + n_constraints
     m = len(doc["Ku_tilde"]) if doc["Ku_tilde"] else 1
     return ZeroDynamicsResult(
         k=k,
         Kw=_field_matrix(doc, "Kw", k, k),
         Lw=_field_matrix(doc, "Lw", k, k),
-        p=float(doc["p"]),
+        p=_field_number(doc, "p"),
         constraints=_field_matrix(doc, "constraints", n_constraints, n),
         transform_chain=tuple(_matrix(mat, "transform_chain", k, n) for mat in chain),
         Ku_tilde=_field_matrix(doc, "Ku_tilde", m, k),
         Lu_tilde=_field_matrix(doc, "Lu_tilde", m, k),
-        full_state=bool(doc["full_state"]),
-        deflation_residual=float(doc["deflation_residual"]),
+        full_state=doc["full_state"],
+        deflation_residual=_field_number(doc, "deflation_residual", positive=False),
     )

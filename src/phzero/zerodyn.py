@@ -11,7 +11,7 @@ subspace ``V`` of its finite eigenvalues and the matrix ``M`` with
 
 * :func:`vstar_discrete` returns ``V``, the largest subspace with
   ``F V ⊆ E V``; singular pencils fall back to the subspace iteration
-  ``V <- V ∩ preimage(F, E V)``;
+  ``V <- V null((I - P_{EV}) F V)``, two SVDs per step;
 * :func:`reduce` writes the zero dynamics as the boundary system
   ``w(0,t) = M w(1,t)`` on the reduced state ``w = V^T z``.  The
   by-products are the constraint rows (the complement of ``V``, which
@@ -27,15 +27,9 @@ import scipy.linalg
 
 from . import analysis, linalg
 from .analysis import output_nulling_stacks
-from .errors import ConsistencyError, IllPosedError, ReductionError, SingularMatrixError
+from .errors import ConsistencyError, IllPosedError, ReductionError
 from .linalg import Subspace
 from .model import PHSystem
-
-#: A generalized eigenvalue pair ``(alpha, beta)`` of ``F - lambda E`` with
-#: ``|(alpha, beta)|`` below this fraction of ``max(|E|, |F|)`` (Frobenius
-#: norms) is the rounding image of ``(0, 0)`` and marks a singular pencil.
-#: Regular pencils keep every pair many orders of magnitude above it.
-SINGULAR_PAIR_TOL = 1e-12
 
 #: Bound on the deflation residual ``|E V M - F V|`` relative to
 #: ``|E| |M| + |F|`` (Frobenius norms).  QZ is backward stable, so the
@@ -43,10 +37,8 @@ SINGULAR_PAIR_TOL = 1e-12
 DEFLATION_TOL = 1e-9
 
 
-def _finite(alpha, beta) -> np.ndarray:
-    """Mask of the finite eigenvalues ``alpha / beta``, judged as in
-    :func:`analysis.pencil_roots`."""
-    return np.abs(beta) > analysis.EIG_DROP_TOL * np.hypot(np.abs(alpha), np.abs(beta))
+class _SingularPencil(Exception):
+    """Stops :func:`_deflate` at a singular pencil, before the reordering."""
 
 
 def _deflate(e, f):
@@ -58,9 +50,10 @@ def _deflate(e, f):
     finite eigenvalues; ``m = inv(BB11) AA11`` from the leading Schur
     blocks solves ``E V m = F V``; ``residual`` is ``|E V m - F V|``
     (Frobenius).  Returns ``None`` when the pencil is not square or is
-    singular (a pair with both ``alpha`` and ``beta`` at rounding level,
-    :data:`SINGULAR_PAIR_TOL`).  Raises :class:`ConsistencyError` when the
-    residual exceeds :data:`DEFLATION_TOL`.
+    singular, judged on the pairs of the unordered QZ by
+    :func:`analysis.singular_pencil` (the verdict of
+    :func:`analysis.pencil_roots`).  Raises :class:`ConsistencyError` when
+    the residual exceeds :data:`DEFLATION_TOL`.
     """
     e = linalg.as_matrix(e)
     f = linalg.as_matrix(f)
@@ -69,19 +62,26 @@ def _deflate(e, f):
     n = e.shape[1]
     if e.shape[0] != n or n == 0:
         return None
-    aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(f, e, sort=_finite, output="real")
-    e_norm, f_norm = np.linalg.norm(e), np.linalg.norm(f)
-    pairs = np.hypot(np.abs(alpha), np.abs(beta))
-    if np.any(pairs <= SINGULAR_PAIR_TOL * max(e_norm, f_norm)):
+
+    def finite_first(alpha, beta):
+        # ordqz passes the pairs of the unordered QZ; reordering a singular
+        # pencil would scramble the pair at (0, 0), so stop before it
+        if analysis.singular_pencil(alpha, beta, f, e):
+            raise _SingularPencil
+        return analysis.finite_pairs(alpha, beta)
+
+    try:
+        aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(f, e, sort=finite_first, output="real")
+    except _SingularPencil:
         return None
-    finite = _finite(alpha, beta)
+    finite = analysis.finite_pairs(alpha, beta)
     k = int(np.count_nonzero(finite))
     if not finite[:k].all():
         raise ConsistencyError("ordered QZ left a finite eigenvalue behind an infinite one")
     v = z[:, :k]
     m = scipy.linalg.solve_triangular(bb[:k, :k], aa[:k, :k])
     residual = float(np.linalg.norm(e @ v @ m - f @ v))
-    if residual > DEFLATION_TOL * (e_norm * np.linalg.norm(m) + f_norm):
+    if residual > DEFLATION_TOL * (np.linalg.norm(e) * np.linalg.norm(m) + np.linalg.norm(f)):
         raise ConsistencyError(f"deflation residual |E V M - F V| = {residual:.3e}")
     return z, k, m, residual
 
@@ -104,9 +104,11 @@ def vstar_discrete(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
 def _vstar_iteration(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
     """Largest subspace ``V`` with ``F V ⊆ E V`` by subspace iteration.
 
-    Fixed point of ``V^0`` = full space, ``V^{k+1} = V^k ∩ F^{-1} E V^k``;
-    the dimension strictly decreases until the fixed point, so at most
-    ``n`` steps run.  The route for singular pencils.
+    Fixed point of ``V`` = full space, ``V <- V null((I - P_{EV}) F V)``,
+    i.e. ``V ∩ F^{-1} E V`` on an orthonormal basis: the range of ``E V``
+    is judged against ``|E|`` and the null space against ``tol |F|``.
+    The dimension strictly decreases until the fixed point, so at most
+    ``n`` steps run.  The route for non-square and singular pencils.
     """
     e = linalg.as_matrix(e)
     f = linalg.as_matrix(f)
@@ -114,13 +116,16 @@ def _vstar_iteration(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
         raise ValueError(f"stack shapes differ: {e.shape} vs {f.shape}")
     n = e.shape[1]
     e_scale = max(linalg.two_norm(e), np.finfo(float).tiny)
-    v = Subspace.full(n, tol)
+    f_scale = linalg.two_norm(f)
+    v = np.eye(n)
     for _ in range(n + 1):
-        image = Subspace.from_span(e @ v.basis, tol, anchor=e_scale)
-        candidate = linalg.subspace_intersect(v, linalg.preimage(f, image))
-        if candidate.dim == v.dim:
-            return candidate
-        v = candidate
+        image = Subspace.from_span(e @ v, tol, anchor=e_scale)
+        fv = f @ v
+        s, vh = np.linalg.svd(fv - image.project(fv))[1:]
+        r = int(np.count_nonzero(s > tol * f_scale))
+        if r == 0:
+            return Subspace(v, tol)
+        v = v @ vh[r:, :].conj().T
     raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
 
 
@@ -293,71 +298,4 @@ def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult
         Lu_tilde=sys.Lu @ v,
         full_state=False,
         deflation_residual=residual,
-    )
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Agreement record between the subspace and reduction routes."""
-
-    n: int
-    k: int
-    vstar_dim: int
-    constraint_residual: float
-    w_roots_reduced: tuple
-    w_roots_scan: tuple
-
-
-def cross_check(sys: PHSystem) -> CrossCheckReport:
-    """Verify that the two zero-dynamics routes agree.
-
-    Asserts (raising :class:`ConsistencyError` otherwise) that the
-    output-nulling subspace dimension equals the reduced order, that the
-    constraint rows annihilate the subspace, that neither the original
-    nor the reduced pencil is identically singular (``reduce`` succeeds
-    only on a transfer function that is not identically zero), and that
-    every root of ``det(Kw + Lw w)`` is a transmission zero of the
-    original system.
-    """
-    res = reduce(sys)
-    v = vstar_discrete(*output_nulling_stacks(sys))
-    if v.dim != res.k:
-        raise ConsistencyError(
-            f"subspace dimension {v.dim} != reduced order {res.k}"
-        )
-    residual = 0.0
-    if res.constraints.size and v.dim:
-        residual = float(np.abs(res.constraints @ v.basis).max())
-        if residual > 1e-10:
-            raise ConsistencyError(
-                f"constraint rows do not annihilate the nulling subspace "
-                f"({residual:.3e})"
-            )
-    roots_reduced, vanishes = analysis.pencil_roots(res.Kw, res.Lw)
-    scan = analysis.scan_zeros(sys)
-    if vanishes or scan.identically_zero:
-        raise ConsistencyError(
-            f"reduction succeeded with order {res.k}, but the "
-            f"{'reduced' if vanishes else 'original'} zero pencil is "
-            f"identically singular"
-        )
-    for w in roots_reduced:
-        s = -np.log(w) / sys.p
-        try:
-            is_zero = analysis.is_transmission_zero(sys, s)
-        except SingularMatrixError:
-            # the root coincides with a boundary-pencil singularity; the
-            # transmission-zero test is undefined there
-            continue
-        if not is_zero:
-            raise ConsistencyError(
-                f"reduced-pencil root w={w} is not a transmission zero"
-            )
-    return CrossCheckReport(
-        n=sys.n,
-        k=res.k,
-        vstar_dim=v.dim,
-        constraint_residual=residual,
-        w_roots_reduced=roots_reduced,
-        w_roots_scan=scan.w_roots,
     )

@@ -2,7 +2,10 @@
 
 :func:`vstar_from_quadruple` is the classical output-nulling iteration on
 the one-traversal quadruple, a second route to the subspace that
-:func:`phzero.vstar_discrete` computes from the boundary stacks.
+:func:`phzero.vstar_discrete` computes from the boundary stacks.  It is
+built on the subspace lattice :func:`nullspace`, :func:`preimage` and
+:func:`subspace_intersect`.  :func:`cross_check` compares
+:func:`phzero.reduce` with it and certifies the reduced zeros.
 
 :func:`lu_decompose` (a row-pivoted triangular factorization) and
 :func:`schur_block_inverse` (the left blocks of a 2x2-partitioned
@@ -20,11 +23,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from phzero import linalg
-from phzero.analysis import DiscreteSystem
+from phzero import analysis, linalg
+from phzero.analysis import DiscreteSystem, discrete_reduce
 from phzero.canonicalize import common_travel_time
 from phzero.errors import ConsistencyError, SingularMatrixError
 from phzero.linalg import Subspace
+from phzero.model import PHSystem
+from phzero.zerodyn import reduce
+
+
+def nullspace(mat, tol: float = linalg.DEFAULT_TOL) -> Subspace:
+    """Orthonormal basis of the (right) null space of ``mat``.
+
+    The dimension is ``cols - rank(mat, tol)``; the basis vectors are the
+    trailing right singular vectors.
+    """
+    a = linalg.as_matrix(mat)
+    n = a.shape[1]
+    if a.shape[0] == 0 or a.size == 0 or not np.any(a):
+        return Subspace(np.eye(n), tol)
+    r = linalg.rank(a, tol)
+    vh = np.linalg.svd(a)[2]
+    return Subspace(vh[r:, :].conj().T, tol)
+
+
+def subspace_intersect(v: Subspace, w: Subspace) -> Subspace:
+    """Intersection of two subspaces of the same ambient space."""
+    if v.ambient_dim != w.ambient_dim:
+        raise ValueError(
+            f"ambient dimension mismatch: {v.ambient_dim} vs {w.ambient_dim}"
+        )
+    tol = min(v.tol, w.tol)
+    if v.dim == 0 or w.dim == 0:
+        return Subspace(np.zeros((v.ambient_dim, 0)), tol)
+    if v.dim == v.ambient_dim:
+        return Subspace(w.basis, tol)
+    if w.dim == w.ambient_dim:
+        return Subspace(v.basis, tol)
+    # (a, b) with V a = W b <=> [V | -W] (a; b) = 0; the V a part spans V ∩ W.
+    pairs = nullspace(np.hstack([v.basis, -w.basis]), tol)
+    vecs = v.basis @ pairs.basis[: v.dim, :]
+    return Subspace.from_span(vecs, tol)
+
+
+def preimage(f, w: Subspace) -> Subspace:
+    """The set ``{v : f v in w}``, via the null space of ``(I - P_w) f``.
+
+    Membership is judged against the scale of ``f`` itself,
+    ``norm((I - P_w) f v) <= tol * norm(f) * norm(v)``: the residual map can
+    be pure rounding noise (when ``f`` maps everything into ``w``) and must
+    not set the threshold.
+    """
+    fm = linalg.as_matrix(f)
+    if fm.shape[0] != w.ambient_dim:
+        raise ValueError(
+            f"map has {fm.shape[0]} rows but target lives in "
+            f"{w.ambient_dim} dimensions"
+        )
+    residual_map = fm - w.project(fm)
+    anchor = linalg.two_norm(fm)
+    if anchor == 0.0:
+        return Subspace(np.eye(fm.shape[1]), w.tol)
+    s, vh = np.linalg.svd(residual_map)[1:]
+    r = int(np.count_nonzero(s > w.tol * anchor))
+    return Subspace(vh[r:, :].conj().T, w.tol)
 
 
 def vstar_from_quadruple(d: DiscreteSystem, tol: float = linalg.DEFAULT_TOL) -> Subspace:
@@ -37,20 +99,87 @@ def vstar_from_quadruple(d: DiscreteSystem, tol: float = linalg.DEFAULT_TOL) -> 
     n = d.n
     m_out = d.Cd.shape[0]
     stack = np.block([[d.Ad, d.Bd], [d.Cd, d.Dd]])
-    v = Subspace.full(n, tol)
+    v = Subspace(np.eye(n), tol)
     for _ in range(n + 1):
         target_basis = np.vstack([v.basis, np.zeros((m_out, v.dim))])
         target = Subspace.from_span(target_basis, tol)
-        pairs = linalg.preimage(stack, target)
+        pairs = preimage(stack, target)
         # pair-basis columns are unit vectors, so judge the state block
         # against scale 1 (it may be legitimately tiny when the admissible
         # pairs are input-dominated)
         projected = Subspace.from_span(pairs.basis[:n, :], tol, anchor=1.0)
-        candidate = linalg.subspace_intersect(v, projected)
+        candidate = subspace_intersect(v, projected)
         if candidate.dim == v.dim:
             return candidate
         v = candidate
     raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
+
+
+@dataclass(frozen=True)
+class CrossCheckReport:
+    """Agreement record between the reduction and the quadruple route."""
+
+    n: int
+    k: int
+    vstar_dim: int
+    constraint_residual: float
+    w_roots_reduced: tuple
+    w_roots_scan: tuple
+
+
+def cross_check(sys: PHSystem) -> CrossCheckReport:
+    """Verify :func:`phzero.reduce` against independent routes.
+
+    Asserts (raising :class:`ConsistencyError` otherwise) that the
+    output-nulling subspace of :func:`vstar_from_quadruple` has the
+    reduced order, that the constraint rows annihilate it, that neither
+    the original nor the reduced pencil is identically singular
+    (``reduce`` succeeds only on a transfer function that is not
+    identically zero), and that every root of ``det(Kw + Lw w)`` is a
+    transmission zero of the original system.
+    """
+    res = reduce(sys)
+    v = vstar_from_quadruple(discrete_reduce(sys))
+    if v.dim != res.k:
+        raise ConsistencyError(
+            f"subspace dimension {v.dim} != reduced order {res.k}"
+        )
+    residual = 0.0
+    if res.constraints.size and v.dim:
+        residual = float(np.abs(res.constraints @ v.basis).max())
+        if residual > 1e-10:
+            raise ConsistencyError(
+                f"constraint rows do not annihilate the nulling subspace "
+                f"({residual:.3e})"
+            )
+    roots_reduced, vanishes = analysis.pencil_roots(res.Kw, res.Lw)
+    scan = analysis.scan_zeros(sys)
+    if vanishes or scan.identically_zero:
+        raise ConsistencyError(
+            f"reduction succeeded with order {res.k}, but the "
+            f"{'reduced' if vanishes else 'original'} zero pencil is "
+            f"identically singular"
+        )
+    for w in roots_reduced:
+        s = -np.log(w) / sys.p
+        try:
+            is_zero = analysis.is_transmission_zero(sys, s)
+        except SingularMatrixError:
+            # the root coincides with a boundary-pencil singularity; the
+            # transmission-zero test is undefined there
+            continue
+        if not is_zero:
+            raise ConsistencyError(
+                f"reduced-pencil root w={w} is not a transmission zero"
+            )
+    return CrossCheckReport(
+        n=sys.n,
+        k=res.k,
+        vstar_dim=v.dim,
+        constraint_residual=residual,
+        w_roots_reduced=roots_reduced,
+        w_roots_scan=scan.w_roots,
+    )
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from phzero import load_result, load_system
+from phzero import discrete_reduce, load_result, load_system
 from phzero.cli import main
 from phzero.model import dumps, system_doc
 
 from conftest import CORPUS_DIR
+from oracles import vstar_from_quadruple
 
 CORPUS_FILES = sorted(p.name for p in CORPUS_DIR.glob("*.json"))
 
@@ -157,16 +158,34 @@ def test_zerodyn_and_zeros_mimo_document(capsys, tmp_path, rng):
     assert not json.loads(out)["findings"]["identically_zero"]
 
 
+SILENT_DOC = {"n": 2, "m": 1, "travel_time": 1.0,
+              "K0": [[1.0, 0.0]], "L0": [[0.0, 0.5]],
+              "Ku": [[0.0, 1.0]], "Lu": [[0.0, 0.0]],
+              "Ky": [[0.0, 0.0]], "Ly": [[0.0, 0.0]]}
+
+
 def test_zeros_identically_zero_output(capsys, tmp_path):
-    doc = {"n": 2, "m": 1, "travel_time": 1.0,
-           "K0": [[1.0, 0.0]], "L0": [[0.0, 0.5]],
-           "Ku": [[0.0, 1.0]], "Lu": [[0.0, 0.0]],
-           "Ky": [[0.0, 0.0]], "Ly": [[0.0, 0.0]]}
     path = tmp_path / "silent.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SILENT_DOC))
     code, out, _ = run(capsys, "zeros", str(path))
     assert code == 0
     assert "identically zero" in out
+
+
+def test_singular_pencil_commands_agree(capsys, tmp_path):
+    # a zero output map makes the stacked zero pencil singular: zeros
+    # reports it, zerodyn refuses it, and vstar takes the iteration route
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps(SILENT_DOC))
+    code, out, _ = run(capsys, "zeros", str(path), "--json")
+    assert code == 0 and json.loads(out)["findings"]["identically_zero"]
+    code, out, err = run(capsys, "zerodyn", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "vstar", str(path), "--json")
+    assert code == 0, err
+    expected = vstar_from_quadruple(discrete_reduce(load_system(path))).dim
+    assert json.loads(out)["findings"]["dim"] == expected == 2
 
 
 def test_zeros_split_values(capsys):

@@ -175,6 +175,25 @@ def test_result_of_an_older_schema_is_rejected(tmp_path, split_sys):
         load_result(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("constraints", 3),
+    ("Ku_tilde", 1.5),
+    ("p", "fast"),
+    ("p", float("nan")),
+    ("p", float("inf")),
+    ("deflation_residual", "small"),
+    ("deflation_residual", -1.0),
+    ("full_state", "no"),
+])
+def test_result_rejects_malformed_fields(tmp_path, split_sys, field, value):
+    doc = json.loads(dumps(result_doc(zd_reduce(split_sys))))
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"'{field}'"):
+        load_result(path)
+
+
 def test_result_roundtrip(tmp_path, split_sys):
     res = zd_reduce(split_sys)
     path = tmp_path / "res.json"

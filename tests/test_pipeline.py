@@ -13,7 +13,6 @@ from phzero import (
     RawConstantSystem,
     SchemaError,
     check_well_posed,
-    cross_check,
     diagonalize_constant,
     load_system,
     reflect_positive,
@@ -30,7 +29,7 @@ from phzero.model import dumps, system_doc
 from phzero.zerodyn import reduce as zd_reduce
 
 from conftest import CORPUS_DIR
-from oracles import multispeed_output, reflect_profile
+from oracles import cross_check, multispeed_output, reflect_profile
 
 
 def mixed_raw_system() -> RawConstantSystem:
@@ -82,6 +81,7 @@ def test_full_pipeline_from_raw_system(rng):
     (lambda d: d.update(n=2.5), "'n'"),
     (lambda d: d.update(travel_time=True), "'travel_time'"),
     (lambda d: d.update(travel_time=-1.0), "'travel_time'"),
+    (lambda d: d.update(travel_time=float("inf")), "'travel_time'"),
     (lambda d: d.update(K0=[[float("nan"), 0, 0], [0, 1, 0]]), "finite"),
     (lambda d: d.pop("Ly"), "'Ly'"),
     (lambda d: d.update(Ku="not a matrix"), "'Ku'"),
@@ -149,7 +149,7 @@ def test_public_names_are_explicit():
 
     import phzero
 
-    assert len(phzero.__all__) == len(set(phzero.__all__)) == 46
+    assert len(phzero.__all__) == len(set(phzero.__all__)) == 41
     for name in phzero.__all__:
         assert not isinstance(getattr(phzero, name), types.ModuleType), name
 
@@ -160,4 +160,4 @@ def test_run_examples_script(capsys):
     runpy.run_path(str(CORPUS_DIR.parent / "scripts" / "run_examples.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert out.count("=== ") == len(list(CORPUS_DIR.glob("*.json")))
-    assert "cross-check: nulling dimension 2 == reduced order 2" in out
+    assert "reduced-pencil zeros: 2 of 2 certified as transmission zeros" in out

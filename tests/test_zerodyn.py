@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,6 @@ from phzero import (
     PHSystem,
     ReductionError,
     Subspace,
-    cross_check,
     discrete_reduce,
     is_transmission_zero,
     nulling_friend,
@@ -18,12 +19,11 @@ from phzero import (
 )
 from phzero.analysis import DiscreteSystem, pencil_roots
 from phzero.ensembles import random_siso_system, random_square_system
-from phzero.linalg import preimage, subspace_intersect
 from phzero.zerodyn import _deflate, _vstar_iteration
 from phzero.zerodyn import reduce as zd_reduce
 
 from conftest import criterion_6_ensemble
-from oracles import vstar_from_quadruple
+from oracles import cross_check, preimage, subspace_intersect, vstar_from_quadruple
 
 
 def span_equal(subspace, rows, tol=1e-9):
@@ -102,7 +102,7 @@ def test_vstar_routes_agree_random(rng):
 
 def test_friend_zero_subspace(split_sys):
     d = discrete_reduce(split_sys)
-    fr = nulling_friend(d, Subspace.zero(3))
+    fr = nulling_friend(d, Subspace(np.zeros((3, 0))))
     assert np.abs(fr.Fd).max() == 0.0
 
 
@@ -310,16 +310,35 @@ def test_reduce_deep_ring(n, d):
         assert tr.max_output() <= 1e-10 * np.abs(z0).max(), mode
 
 
+def _dependent_outputs(rng, count):
+    """Seeded MIMO systems (m = 2..4) whose last output row (of Ky and Ly
+    alike) combines the others, so the transfer matrix is singular at
+    every s."""
+    for i in range(count):
+        m = 2 + i % 3
+        sysr = random_square_system(rng, n=int(rng.integers(m + 1, 13)), m=m,
+                                    singular_stack=bool(i % 2))
+        c = rng.standard_normal(m - 1)
+        ky, ly = sysr.Ky.copy(), sysr.Ly.copy()
+        ky[-1], ly[-1] = c @ ky[:-1], c @ ly[:-1]
+        yield PHSystem(p=1.0, K0=sysr.K0, L0=sysr.L0, Ku=sysr.Ku, Lu=sysr.Lu, Ky=ky, Ly=ly)
+
+
 def test_deflation_agrees_with_iteration_and_zero_verdict():
-    regular = 0
-    for i, sysr in enumerate(criterion_6_ensemble()):
+    regular = singular_mimo = 0
+    dependent = _dependent_outputs(np.random.default_rng(10), 60)
+    for i, sysr in enumerate(itertools.chain(criterion_6_ensemble(), dependent)):
         e, f = output_nulling_stacks(sysr)
         singular = _deflate(e, f) is None
         assert singular == pencil_roots(-e, f)[1], f"sample {i}"
         if not singular:
             assert vstar_discrete(e, f).same_as(_vstar_iteration(e, f)), f"sample {i}"
             regular += 1
-    assert 150 <= regular < 200
+        elif sysr.m > 1:
+            oracle = vstar_from_quadruple(discrete_reduce(sysr))
+            assert _vstar_iteration(e, f).same_as(oracle, tol=1e-8), f"sample {i}"
+            singular_mimo += 1
+    assert 150 <= regular < 200 and singular_mimo == 60
 
 
 def test_deflation_residual_is_checked(split_sys, monkeypatch):
