@@ -13,7 +13,6 @@ discrete-time system.  All frequency-domain work happens in the variable
 stacked zero pencil are polynomial.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ import scipy.linalg
 from . import linalg
 from .errors import ConsistencyError, IllPosedError, SingularMatrixError
 from .model import PHSystem
-
-logger = logging.getLogger(__name__)
 
 #: Guard band around spectral radius 1 for the stability verdict.
 STABILITY_MARGIN = 1e-9
@@ -80,59 +77,44 @@ def _require_well_posed(sys: PHSystem) -> None:
         raise IllPosedError("boundary matrix [K0; Ku] is singular")
 
 
-def _input_columns(k: np.ndarray, m: int) -> np.ndarray:
-    """``inv(K) [0; I_m]`` computed once and shared by feedthrough/Bd."""
-    rhs = np.zeros((k.shape[0], m))
-    rhs[k.shape[0] - m :, :] = np.eye(m)
-    return np.linalg.solve(k, rhs)
+def discrete_reduce(sys: PHSystem) -> DiscreteSystem:
+    """Exact one-traversal discretization of a uniform-speed system.
+
+    The only solve with ``K`` in the package.  Both solves are checked by
+    their Frobenius residuals against ``1e-12`` of the problem scale;
+    an inaccurate solve raises :class:`ConsistencyError`.
+    """
+    _require_well_posed(sys)
+    k = sys.K
+    lmat = sys.L
+    rhs = np.zeros((sys.n, sys.m))
+    rhs[sys.n - sys.m :, :] = np.eye(sys.m)
+    ad = -np.linalg.solve(k, lmat)
+    bd = np.linalg.solve(k, rhs)
+    cd = sys.Ky @ ad + sys.Ly
+    dd = sys.Ky @ bd
+    norm = np.linalg.norm
+    bound = 1e-12 * max(1.0, norm(k) * max(norm(ad), 1.0), norm(lmat))
+    if norm(k @ ad + lmat) > bound or norm(k @ bd - rhs) > bound:
+        raise ConsistencyError("discretization residual exceeds 1e-12")
+    return DiscreteSystem(Ad=ad, Bd=bd, Cd=cd, Dd=dd, p=sys.p)
 
 
 def feedthrough(sys: PHSystem) -> np.ndarray:
     """Instantaneous input-to-output map ``E`` (the high-frequency limit
-    of the transfer function): the trailing m columns of ``Ky inv(K)``."""
-    _require_well_posed(sys)
-    return sys.Ky @ _input_columns(sys.K, sys.m)
-
-
-def discrete_reduce(sys: PHSystem) -> DiscreteSystem:
-    """Exact one-traversal discretization of a uniform-speed system."""
-    _require_well_posed(sys)
-    k = sys.K
-    lmat = sys.L
-    ad = -np.linalg.solve(k, lmat)
-    bd = _input_columns(k, sys.m)
-    cd = sys.Ky @ ad + sys.Ly
-    dd = sys.Ky @ bd
-    scale = max(1.0, linalg.two_norm(k) * max(linalg.two_norm(ad), 1.0), linalg.two_norm(lmat))
-    rhs = np.zeros_like(bd)
-    rhs[sys.n - sys.m :, :] = np.eye(sys.m)
-    if linalg.two_norm(k @ ad + lmat) > 1e-12 * scale or linalg.two_norm(k @ bd - rhs) > 1e-12 * scale:
-        raise ConsistencyError("discretization residual exceeds 1e-12")
-    return DiscreteSystem(Ad=ad, Bd=bd, Cd=cd, Dd=dd, p=sys.p)
+    of the transfer function): ``Dd``, the trailing m columns of
+    ``Ky inv(K)``."""
+    return discrete_reduce(sys).Dd
 
 
 def is_exponentially_stable(sys: PHSystem) -> tuple[bool, float]:
     """Stability verdict and the spectral radius of the traversal map.
 
-    The verdict is ``r < 1`` with a guard band.  The largest singular
-    value is computed alongside; a disagreement between ``r < 1`` and
-    ``sigma_max < 1`` is logged, not raised, since only the spectral
-    radius is authoritative.
+    The spectral radius alone decides: the verdict is ``r < 1`` with the
+    guard band :data:`STABILITY_MARGIN`.
     """
-    d = discrete_reduce(sys)
-    r = linalg.spectral_radius(d.Ad)
-    sigma = linalg.two_norm(d.Ad)
-    if (r < 1.0) != (sigma < 1.0):
-        logger.info(
-            "spectral radius %.6g and sigma_max %.6g fall on different sides of 1;"
-            " using the spectral radius", r, sigma,
-        )
+    r = linalg.spectral_radius(discrete_reduce(sys).Ad)
     return r < 1.0 - STABILITY_MARGIN, r
-
-
-def boundary_pencil(sys: PHSystem, w: complex) -> np.ndarray:
-    """``K + L w`` evaluated at ``w = exp(-s p)``."""
-    return sys.K + sys.L * w
 
 
 def transfer_eval(sys: PHSystem, s: complex) -> TransferSample:
@@ -143,7 +125,7 @@ def transfer_eval(sys: PHSystem, s: complex) -> TransferSample:
     """
     _require_well_posed(sys)
     w = np.exp(-complex(s) * sys.p)
-    pencil = boundary_pencil(sys, w)
+    pencil = sys.K + sys.L * w
     if not linalg.is_invertible(pencil, cond_limit=1e12):
         raise SingularMatrixError(
             f"boundary pencil singular at s={s} (pole candidate)"
@@ -155,36 +137,24 @@ def transfer_eval(sys: PHSystem, s: complex) -> TransferSample:
     return TransferSample(s=complex(s), value=value)
 
 
-def transfer_eval_resolvent(d: DiscreteSystem, s: complex) -> np.ndarray:
-    """Same value through the quadruple: ``Dd + Cd (z I - Ad)^-1 Bd``."""
-    z = np.exp(complex(s) * d.p)
-    resolvent = np.linalg.solve(z * np.eye(d.n) - d.Ad, d.Bd)
-    return d.Dd + d.Cd @ resolvent
-
-
 def output_nulling_stacks(sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:
     """The stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]`` driving the
     incoming/outgoing trace recursion of the zero dynamics."""
     return -np.vstack([sys.K0, sys.Ky]), np.vstack([sys.L0, sys.Ly])
 
 
-def zero_pencil(sys: PHSystem, w: complex) -> np.ndarray:
-    """Stacked pencil ``[K0 + L0 w; Ky + Ly w]`` whose singularity marks
-    transmission zeros."""
-    e, f = output_nulling_stacks(sys)
-    return f * w - e
-
-
 def is_transmission_zero(sys: PHSystem, s: complex, tol: float = ZERO_TEST_TOL) -> bool:
-    """True iff the stacked zero pencil is singular at ``s``.
+    """True iff the stacked zero pencil ``[K0 + L0 w; Ky + Ly w]`` is
+    singular at ``w = exp(-s p)``.
 
     Requires the boundary pencil ``K + L exp(-s p)`` to be invertible at
     ``s`` (raises otherwise: ``s`` is a pole candidate).
     """
     w = np.exp(-complex(s) * sys.p)
-    if not linalg.is_invertible(boundary_pencil(sys, w), cond_limit=1e12):
+    if not linalg.is_invertible(sys.K + sys.L * w, cond_limit=1e12):
         raise SingularMatrixError(f"boundary pencil singular at s={s}")
-    sv = np.linalg.svd(zero_pencil(sys, w), compute_uv=False)
+    e, f = output_nulling_stacks(sys)
+    sv = np.linalg.svd(f * w - e, compute_uv=False)
     return bool(sv[-1] <= tol * max(sv[0], np.finfo(float).tiny))
 
 

@@ -140,8 +140,8 @@ def _cmd_analyze(args) -> int:
         )
         _emit(doc, args.json, ["well_posed: false (boundary matrix singular)"])
         return EXIT_PRECONDITION
-    e = analysis.feedthrough(system)
     d = analysis.discrete_reduce(system)
+    e = d.Dd
     stable, radius = analysis.is_exponentially_stable(system)
     sigma = linalg.two_norm(d.Ad)
     findings = {

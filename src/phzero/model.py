@@ -283,10 +283,6 @@ def _field_number(doc: dict, name: str, positive: bool = True) -> float:
     return float(value)
 
 
-def _matrix_doc(mat: np.ndarray):
-    return mat.tolist()
-
-
 def load_system(path):
     """Load a system document; returns PHSystem or MultiSpeedSystem."""
     doc = _load_json(path)
@@ -346,12 +342,12 @@ def system_doc(sys) -> dict:
             "n": sys.n,
             "m": sys.m,
             "travel_time": sys.p,
-            "K0": _matrix_doc(sys.K0),
-            "L0": _matrix_doc(sys.L0),
-            "Ku": _matrix_doc(sys.Ku),
-            "Lu": _matrix_doc(sys.Lu),
-            "Ky": _matrix_doc(sys.Ky),
-            "Ly": _matrix_doc(sys.Ly),
+            "K0": sys.K0.tolist(),
+            "L0": sys.L0.tolist(),
+            "Ku": sys.Ku.tolist(),
+            "Lu": sys.Lu.tolist(),
+            "Ky": sys.Ky.tolist(),
+            "Ly": sys.Ly.tolist(),
         }
     if isinstance(sys, MultiSpeedSystem):
         return {
@@ -362,10 +358,10 @@ def system_doc(sys) -> dict:
                 for s in sys.speeds
             ],
             "constraint_rows": sys.n - sys.m,
-            "K": _matrix_doc(sys.K),
-            "L": _matrix_doc(sys.L),
-            "Ky": _matrix_doc(sys.Ky),
-            "Ly": _matrix_doc(sys.Ly),
+            "K": sys.K.tolist(),
+            "L": sys.L.tolist(),
+            "Ky": sys.Ky.tolist(),
+            "Ly": sys.Ly.tolist(),
         }
     raise TypeError(f"cannot serialize {type(sys).__name__}")
 
@@ -393,12 +389,12 @@ def result_doc(res) -> dict:
         "k": res.k,
         "p": res.p,
         "full_state": res.full_state,
-        "Kw": _matrix_doc(res.Kw),
-        "Lw": _matrix_doc(res.Lw),
-        "constraints": _matrix_doc(res.constraints),
+        "Kw": res.Kw.tolist(),
+        "Lw": res.Lw.tolist(),
+        "constraints": res.constraints.tolist(),
         "transform_chain": [m.tolist() for m in res.transform_chain],
-        "Ku_tilde": _matrix_doc(res.Ku_tilde),
-        "Lu_tilde": _matrix_doc(res.Lu_tilde),
+        "Ku_tilde": res.Ku_tilde.tolist(),
+        "Lu_tilde": res.Lu_tilde.tolist(),
         "deflation_residual": res.deflation_residual,
         "schema_version": SCHEMA_VERSION,
     }

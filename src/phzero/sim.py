@@ -186,11 +186,12 @@ def simulate_zeroing(
     for an invariance feedback on ``zd.nulling_subspace()``.  Both must
     produce an identically zero output; the inputs themselves may differ.
 
-    The realized output sits at the rounding floor relative to the state
-    the trajectory actually reaches, so for networks whose open loop or
-    zero dynamics amplify by a factor ``g`` per traversal the output can
-    only be kept below roughly ``eps * g**steps`` times the initial
-    profile; no floating-point evolution can do better.
+    Neither feedback corrects rounding error off the nulling subspace: that
+    error grows at the open-loop rate, so on networks whose open loop
+    amplifies by a factor ``g`` per traversal the output leaves the
+    rounding floor and grows roughly like ``eps * g**steps`` times the
+    initial profile.  A per-step projection onto the nulling subspace
+    would hold it at the floor; this loop does not project.
 
     Raises :class:`UnsupportedSystemError` (a ``ValueError``, reporting
     the projection distance) when any cell of ``z0`` is outside the

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from phzero import MultiSpeedSystem, PHSystem, RationalSpeed
-from phzero.ensembles import random_siso_system
+
+from ensembles import random_siso_system
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -7,8 +7,8 @@ boundary form with travel time 1 unless stated otherwise.
 
 import numpy as np
 
-from . import linalg
-from .model import PHSystem
+from phzero import linalg
+from phzero.model import PHSystem
 
 #: Condition limit for the boundary matrix of generated systems.
 GEN_COND_LIMIT = 1e6

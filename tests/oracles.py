@@ -6,6 +6,8 @@ the one-traversal quadruple, a second route to the subspace that
 built on the subspace lattice :func:`nullspace`, :func:`preimage` and
 :func:`subspace_intersect`.  :func:`cross_check` compares
 :func:`phzero.reduce` with it and certifies the reduced zeros.
+:func:`transfer_eval_resolvent` evaluates the transfer function through
+the quadruple's resolvent, a second route to :func:`phzero.transfer_eval`.
 
 :func:`lu_decompose` (a row-pivoted triangular factorization) and
 :func:`schur_block_inverse` (the left blocks of a 2x2-partitioned
@@ -113,6 +115,13 @@ def vstar_from_quadruple(d: DiscreteSystem, tol: float = linalg.DEFAULT_TOL) -> 
             return candidate
         v = candidate
     raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
+
+
+def transfer_eval_resolvent(d: DiscreteSystem, s: complex) -> np.ndarray:
+    """Same value through the quadruple: ``Dd + Cd (z I - Ad)^-1 Bd``."""
+    z = np.exp(complex(s) * d.p)
+    resolvent = np.linalg.solve(z * np.eye(d.n) - d.Ad, d.Bd)
+    return d.Dd + d.Cd @ resolvent
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,8 @@ from phzero import (
     vstar_discrete,
     output_nulling_stacks,
 )
-from phzero.analysis import pencil_roots, transfer_eval_resolvent
+from phzero.analysis import pencil_roots
 from phzero.canonicalize import common_travel_time, split_initial_profile
-from phzero.ensembles import (
-    random_nulling_profile,
-    random_square_system,
-    random_stable_system,
-)
 from phzero.errors import SingularMatrixError
 from phzero.linalg import two_norm
 from phzero.zerodyn import reduce as zd_reduce
@@ -50,7 +45,12 @@ from conftest import (
     build_two_speed,
     criterion_6_ensemble,
 )
-from oracles import multispeed_output, vstar_from_quadruple
+from ensembles import (
+    random_nulling_profile,
+    random_square_system,
+    random_stable_system,
+)
+from oracles import multispeed_output, transfer_eval_resolvent, vstar_from_quadruple
 
 GOLDEN_W_ROOTS = sorted([(-1 - np.sqrt(5)) / 2, (-1 + np.sqrt(5)) / 2])
 

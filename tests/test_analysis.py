@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from phzero import (
+    ConsistencyError,
     PHSystem,
     SingularMatrixError,
     check_well_posed,
@@ -14,8 +15,10 @@ from phzero import (
     simulate,
     transfer_eval,
 )
-from phzero.analysis import pencil_roots, transfer_eval_resolvent
-from phzero.ensembles import random_square_system
+from phzero.analysis import pencil_roots
+
+from ensembles import random_square_system
+from oracles import transfer_eval_resolvent
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -68,6 +71,25 @@ def test_feedthrough_is_high_frequency_limit(rng):
 def test_feedthrough_equals_dd(split_sys, ring_sys, sparse_ten):
     for sysx in (split_sys, ring_sys, sparse_ten):
         assert np.array_equal(feedthrough(sysx), discrete_reduce(sysx).Dd)
+
+
+@pytest.mark.parametrize("perturbed_call", [0, 1], ids=["Ad", "Bd"])
+def test_discretization_residual_rejects_inaccurate_solve(monkeypatch, ring_sys, perturbed_call):
+    """A solve off by 1e-8 relative is 1e4 times the 1e-12 residual bound
+    on the ring, so the check must raise; a bound loosened to 1e-6 would
+    pass it silently."""
+    solve = np.linalg.solve
+    calls = []
+
+    def inaccurate(a, b):
+        calls.append(None)
+        x = solve(a, b)
+        return x * (1.0 + 1e-8) if len(calls) == perturbed_call + 1 else x
+
+    monkeypatch.setattr(np.linalg, "solve", inaccurate)
+    with pytest.raises(ConsistencyError, match="residual"):
+        discrete_reduce(ring_sys)
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------ discretization

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import CORPUS_DIR
 from oracles import vstar_from_quadruple
 
 CORPUS_FILES = sorted(p.name for p in CORPUS_DIR.glob("*.json"))
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -49,6 +51,33 @@ def test_machine_output_is_deterministic(capsys, name):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "split", "analyze", "zerodyn", "vstar", "zeros"])
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_corpus_json_matches_golden(capsys, monkeypatch, command, name):
+    """Every corpus ``--json`` report is byte-identical to its committed
+    golden, ``tests/golden/<command>_<stem>.json``.  The goldens are the
+    stdout of ``phzero <command> corpus/<name> --json`` run from the
+    repository root (the relative path is the ``inputs`` key).  A change
+    of any report is a reviewed regeneration of these files, never a
+    test switch."""
+    monkeypatch.chdir(CORPUS_DIR.parent)
+    code, out, err = run(capsys, command, f"corpus/{name}", "--json")
+    assert code == 0, err
+    golden = GOLDEN_DIR / f"{command}_{Path(name).stem}.json"
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+def test_analyze_inaccurate_solve_is_internal_error(capsys, monkeypatch):
+    """A solve off by 1e-8 relative fails the discretization residual
+    check: exit 4, one ``internal error:`` line, no report."""
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-8))
+    code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "ring_three_channel.json"))
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["internal error: discretization residual exceeds 1e-12"]
 
 
 def test_validate_flags_singular_boundary(capsys, tmp_path, split_sys):
@@ -142,7 +171,7 @@ def test_zerodyn_split_report(capsys, tmp_path):
 
 
 def test_zerodyn_and_zeros_mimo_document(capsys, tmp_path, rng):
-    from phzero.ensembles import random_square_system
+    from ensembles import random_square_system
     from phzero.model import save_system
 
     sysr = random_square_system(rng, n=6, m=3, singular_stack=True)
@@ -196,7 +225,7 @@ def test_zeros_split_values(capsys):
 
 
 def test_zeros_large_random_system(capsys, tmp_path):
-    from phzero.ensembles import random_siso_system
+    from ensembles import random_siso_system
     from phzero.model import save_system
 
     path = tmp_path / "n160.json"
@@ -255,7 +284,7 @@ def test_simulate_open_csv(capsys, tmp_path, rng):
 
 
 def test_simulate_zeroing_json(capsys, tmp_path):
-    from phzero.ensembles import random_nulling_profile
+    from ensembles import random_nulling_profile
     from phzero.zerodyn import reduce as zd_reduce
 
     split = load_system(CORPUS_DIR / "split_three_channel.json")
@@ -367,7 +396,7 @@ def test_simulate_unreadable_profile_is_a_schema_error(capsys, tmp_path, z0):
 
 
 def _zeroing_profile(system, cells, seed):
-    from phzero.ensembles import random_nulling_profile
+    from ensembles import random_nulling_profile
     from phzero.zerodyn import reduce as zd_reduce
 
     return random_nulling_profile(np.random.default_rng(seed),

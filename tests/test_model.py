@@ -134,7 +134,7 @@ def test_validate_does_not_mutate(split_sys):
 
 
 def test_result_roundtrip_full_state(tmp_path, rng):
-    from phzero.ensembles import random_square_system
+    from ensembles import random_square_system
 
     res = zd_reduce(random_square_system(rng, n=4, m=2, singular_stack=False))
     assert res.full_state

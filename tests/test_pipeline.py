@@ -24,11 +24,11 @@ from phzero import (
 )
 from phzero.canonicalize import common_travel_time, split_initial_profile
 from phzero.cli import main
-from phzero.ensembles import random_nulling_profile, random_siso_system
 from phzero.model import dumps, system_doc
 from phzero.zerodyn import reduce as zd_reduce
 
 from conftest import CORPUS_DIR
+from ensembles import random_nulling_profile, random_siso_system
 from oracles import cross_check, multispeed_output, reflect_profile
 
 

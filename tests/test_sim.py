@@ -3,8 +3,9 @@ import pytest
 
 from phzero import PHSystem, discrete_reduce, simulate, simulate_zeroing
 from phzero.sim import Trajectory
-from phzero.ensembles import random_nulling_profile, random_stable_system
 from phzero.zerodyn import reduce as zd_reduce
+
+from ensembles import random_nulling_profile, random_stable_system
 
 
 def test_zero_l_dies_in_one_step(rng):

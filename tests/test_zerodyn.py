@@ -18,11 +18,11 @@ from phzero import (
     vstar_discrete,
 )
 from phzero.analysis import DiscreteSystem, pencil_roots
-from phzero.ensembles import random_siso_system, random_square_system
 from phzero.zerodyn import _deflate, _vstar_iteration
 from phzero.zerodyn import reduce as zd_reduce
 
 from conftest import criterion_6_ensemble
+from ensembles import random_siso_system, random_square_system
 from oracles import cross_check, preimage, subspace_intersect, vstar_from_quadruple
 
 
