@@ -107,13 +107,15 @@ def feedthrough(sys: PHSystem) -> np.ndarray:
     return discrete_reduce(sys).Dd
 
 
-def is_exponentially_stable(sys: PHSystem) -> tuple[bool, float]:
+def is_exponentially_stable(sys: PHSystem | DiscreteSystem) -> tuple[bool, float]:
     """Stability verdict and the spectral radius of the traversal map.
 
     The spectral radius alone decides: the verdict is ``r < 1`` with the
-    guard band :data:`STABILITY_MARGIN`.
+    guard band :data:`STABILITY_MARGIN`.  ``sys`` is a system or its
+    :func:`discrete_reduce`, which is then not computed again.
     """
-    r = linalg.spectral_radius(discrete_reduce(sys).Ad)
+    d = sys if isinstance(sys, DiscreteSystem) else discrete_reduce(sys)
+    r = linalg.spectral_radius(d.Ad)
     return r < 1.0 - STABILITY_MARGIN, r
 
 

@@ -16,8 +16,8 @@ failure (ill-posed, unsupported, singular zero pencil, or a simulation
 too large for memory), 4 internal assertion or a simulated trajectory
 that goes non-finite.
 Machine-readable reports (``--json``) are byte-identical for identical
-inputs and flags.  ``--tol`` and ``--seed`` fall back to the
-``PHZERO_TOL`` / ``PHZERO_SEED`` environment variables.
+inputs and flags.  ``--tol`` falls back to the ``PHZERO_TOL``
+environment variable.
 
 ``simulate`` writes its export to ``-o`` or to stdout (the summary then
 goes to stderr).  ``--format json`` is the report plus a ``trajectory``
@@ -28,6 +28,7 @@ object on one line with sorted keys; ``--format csv`` is one
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -142,7 +143,7 @@ def _cmd_analyze(args) -> int:
         return EXIT_PRECONDITION
     d = analysis.discrete_reduce(system)
     e = d.Dd
-    stable, radius = analysis.is_exponentially_stable(system)
+    stable, radius = analysis.is_exponentially_stable(d)
     sigma = linalg.two_norm(d.Ad)
     findings = {
         "well_posed": True,
@@ -279,19 +280,24 @@ def _cmd_simulate(args) -> int:
     doc = _report("simulate", {args.file: _digest(args.file),
                                args.initial: _digest(args.initial)}, findings)
     if args.format == "json":
-        payload = model.dumps({**doc, "trajectory": trajectory.to_doc()}, compact=True)
+        # the report's keys sort before and after "trajectory", whose
+        # compact JSON is streamed in between
+        head, tail = model.dumps({**doc, "trajectory": None}, compact=True).rsplit(
+            '"trajectory":null', 1)
+        chunks = itertools.chain((head, '"trajectory":'), trajectory.json_chunks(), (tail,))
     else:
-        payload = trajectory.to_csv()
+        chunks = trajectory.csv_chunks()
     lines = [f"simulated {trajectory.steps} traversals on {trajectory.grid_n} cells "
              f"({args.mode} loop)",
              f"max |y| = {trajectory.max_output():.12g}"]
     if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
         lines.append(f"wrote {args.output}")
         _emit(doc, args.json, lines)
     else:
         # the export itself is the stdout payload; summary goes to stderr
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         for line in lines:
             print(line, file=sys.stderr)
     return EXIT_OK
@@ -325,10 +331,9 @@ def _positive_tol(text: str) -> float:
 
 
 def build_parser() -> _Parser:
-    # a string default goes through ``type`` too, so PHZERO_TOL and
-    # PHZERO_SEED are checked like the flags
+    # a string default goes through ``type`` too, so PHZERO_TOL is
+    # checked like the flag
     tol_default = os.environ.get("PHZERO_TOL", str(linalg.DEFAULT_TOL))
-    seed_default = os.environ.get("PHZERO_SEED", "0")
     parser = _Parser(prog="phzero", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"phzero {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,8 +343,6 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
         p.add_argument("--tol", type=_positive_tol, default=tol_default,
                        help="relative rank tolerance (env PHZERO_TOL)")
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="seed recorded for reproducibility (env PHZERO_SEED)")
         return p
 
     common(sub.add_parser("validate", help="check loadability and well-posedness"))

@@ -15,6 +15,7 @@ every value both grids represent unchanged.  Time samples line up as
 ``inputs[s][:, j] = u((s + zeta_j) p)`` and likewise for the outputs.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -58,34 +59,54 @@ class Trajectory:
         """Long-format (kind, step, cell, channel, value) records, in the
         row order of :meth:`to_csv`: states, inputs, outputs; then step,
         channel, cell."""
-        for kind, block in (("state", self.states), ("input", self.inputs), ("output", self.outputs)):
+        for kind, block in self._blocks():
             for step in range(block.shape[0]):
                 for channel in range(block.shape[1]):
                     for cell in range(block.shape[2]):
                         yield kind, step, cell, channel, float(block[step, channel, cell])
 
-    def to_csv(self) -> str:
-        """The records of :meth:`rows` as CSV text: a ``kind,step,cell,
-        channel,value`` header, one line per record with the value's
-        ``repr``, and a trailing newline.
+    def _blocks(self):
+        return (("state", self.states), ("input", self.inputs), ("output", self.outputs))
+
+    def csv_chunks(self):
+        """The text of :meth:`to_csv`, one chunk per header and step.
 
         Two steps of one kind differ only in the ``kind,step`` head and
-        the values, so each kind gets one ``%r`` template, with NUL
-        marking the head, and each step is one ``%`` of it: every value
-        costs one C-level ``repr``.
+        the values, so each kind gets one ``%s`` template, with NUL
+        marking the head, and each step is one ``%`` of it over the
+        values' ``repr`` from :func:`_step_reprs`.
         """
-        parts = ["kind,step,cell,channel,value"]
-        for kind, block in (("state", self.states), ("input", self.inputs), ("output", self.outputs)):
+        yield "kind,step,cell,channel,value\n"
+        for kind, block in self._blocks():
             if not block.size:
                 continue
             _, channels, cells = block.shape
-            template = "\n".join(
-                f"\0,{cell},{channel},%r" for channel in range(channels) for cell in range(cells)
+            template = "".join(
+                f"\0,{cell},{channel},%s\n" for channel in range(channels) for cell in range(cells)
             )
-            for step in range(block.shape[0]):
-                lines = template.replace("\0", f"{kind},{step}")
-                parts.append(lines % tuple(block[step].ravel().tolist()))
-        return "\n".join(parts) + "\n"
+            for step, values in enumerate(_step_reprs(block)):
+                yield template.replace("\0", f"{kind},{step}") % values
+
+    def to_csv(self) -> str:
+        """The records of :meth:`rows` as CSV text: a ``kind,step,cell,
+        channel,value`` header, one line per record with the value's
+        ``repr``, and a trailing newline."""
+        return "".join(self.csv_chunks())
+
+    def json_chunks(self):
+        """``json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))``
+        in chunks of at most one step of one array.
+
+        Raises :class:`ValueError`, as that call does, when a value is
+        not finite.
+        """
+        yield '{"grid_n":' + json.dumps(self.grid_n) + ',"inputs":'
+        yield from _json_array(self.inputs)
+        yield ',"max_abs_output":' + json.dumps(self.max_output(), allow_nan=False) + ',"outputs":'
+        yield from _json_array(self.outputs)
+        yield ',"p":' + json.dumps(self.p, allow_nan=False) + ',"states":'
+        yield from _json_array(self.states)
+        yield ',"steps":' + json.dumps(self.steps) + "}"
 
     def first_nonfinite_step(self) -> int | None:
         """The first step whose state, input or output has a non-finite
@@ -105,6 +126,36 @@ class Trajectory:
             "outputs": self.outputs.tolist(),
             "max_abs_output": self.max_output(),
         }
+
+
+def _step_reprs(block: np.ndarray):
+    """Per step (first axis) of the float block, the ``repr`` of each of
+    its values as one tuple, in C order.
+
+    ``repr`` runs once per distinct value of the whole block: values
+    repeat across steps, because a traversal moves most of them along a
+    delay chain unchanged.  Values are told apart by their bits, which
+    keeps ``-0.0`` apart from ``0.0``.
+    """
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    for step in texts[inverse].reshape(block.shape[0], math.prod(block.shape[1:])):
+        yield tuple(step.tolist())
+
+
+def _json_array(block: np.ndarray):
+    """Compact JSON of ``block.tolist()`` for a 3-d float block, one
+    chunk per step after the opening bracket."""
+    if not np.isfinite(block).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    _, rows, cols = block.shape
+    row = "[" + ",".join(["%s"] * cols) + "]"
+    template = "[" + ",".join([row] * rows) + "]"
+    yield "["
+    for step, values in enumerate(_step_reprs(block)):
+        yield ("," if step else "") + template % values
+    yield "]"
 
 
 def initial_profile_to_state(z0) -> np.ndarray:

@@ -53,7 +53,7 @@ def _deflate(e, f):
     singular, judged on the pairs of the unordered QZ by
     :func:`analysis.singular_pencil` (the verdict of
     :func:`analysis.pencil_roots`).  Raises :class:`ConsistencyError` when
-    the residual exceeds :data:`DEFLATION_TOL`.
+    the reordering fails or the residual exceeds :data:`DEFLATION_TOL`.
     """
     e = linalg.as_matrix(e)
     f = linalg.as_matrix(f)
@@ -74,6 +74,8 @@ def _deflate(e, f):
         aa, bb, alpha, beta, _, z = scipy.linalg.ordqz(f, e, sort=finite_first, output="real")
     except _SingularPencil:
         return None
+    except ValueError as exc:  # LAPACK's tgsen could not reorder an ill-conditioned pencil
+        raise ConsistencyError(f"ordered QZ of the zero pencil failed: {exc}") from exc
     finite = analysis.finite_pairs(alpha, beta)
     k = int(np.count_nonzero(finite))
     if not finite[:k].all():

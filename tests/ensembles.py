@@ -128,3 +128,34 @@ def random_nulling_profile(
     if dim == 0:
         return np.zeros((n, grid_n))
     return basis @ rng.uniform(-1.0, 1.0, size=(dim, grid_n))
+
+
+def series_chain(parts: list[PHSystem]) -> PHSystem:
+    """The SISO parts in series: the output of part ``i`` drives the input
+    of part ``i + 1``.
+
+    The states are stacked in part order.  Each later part's input row
+    becomes the constraint row ``Ku_b z_b(0) + Lu_b z_b(1) - Ky_a z_a(0)
+    - Ly_a z_a(1) = 0``; the chain's input is the first part's and its
+    output the last part's.  The transfer function is the product of the
+    parts'.
+    """
+    offsets = np.cumsum([0] + [part.n for part in parts])
+    n = int(offsets[-1])
+
+    def placed(row, i):
+        out = np.zeros((row.shape[0], n))
+        out[:, offsets[i]:offsets[i + 1]] = row
+        return out
+
+    k0, l0 = [], []
+    for i, part in enumerate(parts):
+        k0 += [placed(part.K0, i)]
+        l0 += [placed(part.L0, i)]
+        if i:
+            k0 += [placed(part.Ku, i) - placed(parts[i - 1].Ky, i - 1)]
+            l0 += [placed(part.Lu, i) - placed(parts[i - 1].Ly, i - 1)]
+    return PHSystem(p=1.0, K0=np.vstack(k0), L0=np.vstack(l0),
+                    Ku=placed(parts[0].Ku, 0), Lu=placed(parts[0].Lu, 0),
+                    Ky=placed(parts[-1].Ky, len(parts) - 1),
+                    Ly=placed(parts[-1].Ly, len(parts) - 1))

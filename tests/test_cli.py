@@ -80,6 +80,52 @@ def test_analyze_inaccurate_solve_is_internal_error(capsys, monkeypatch):
     assert err.splitlines() == ["internal error: discretization residual exceeds 1e-12"]
 
 
+def test_analyze_discretizes_once(capsys, monkeypatch):
+    from phzero import analysis
+
+    calls = []
+    discrete_reduce = analysis.discrete_reduce
+    monkeypatch.setattr(analysis, "discrete_reduce",
+                        lambda system: calls.append(system) or discrete_reduce(system))
+    code, _, err = run(capsys, "analyze", str(CORPUS_DIR / "sparse_ten_channel.json"), "--json")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["zerodyn", "vstar"])
+def test_failed_qz_reordering_is_internal_error(capsys, monkeypatch, command):
+    """``ordqz`` raises ValueError when LAPACK cannot reorder the pencil;
+    the commands print one line and exit 4."""
+    import scipy.linalg
+
+    def ordqz(*args, **kwargs):
+        raise ValueError("Reordering of (A, B) failed")
+
+    monkeypatch.setattr(scipy.linalg, "ordqz", ordqz)
+    code, out, err = run(capsys, command, str(CORPUS_DIR / "split_three_channel.json"), "--json")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: ordered QZ of the zero pencil failed: Reordering of (A, B) failed"]
+
+
+@pytest.mark.parametrize("command", ["zerodyn", "vstar"])
+def test_twenty_part_float_chain_is_internal_error(capsys, tmp_path, command):
+    """A seeded chain of 20 float SISO parts (n = 200) whose zero pencil
+    LAPACK cannot reorder: its root at w = 0 has multiplicity 20."""
+    from ensembles import random_siso_system, series_chain
+    from phzero.model import save_system
+
+    rng = np.random.default_rng(0)
+    path = tmp_path / "chain.json"
+    save_system(series_chain([random_siso_system(rng, n=10) for _ in range(20)]), path)
+    code, out, err = run(capsys, command, str(path), "--json")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ordered QZ of the zero pencil failed: Reordering")
+
+
 def test_validate_flags_singular_boundary(capsys, tmp_path, split_sys):
     doc = system_doc(split_sys)
     doc["Ku"] = doc["K0"][0:1]
@@ -366,18 +412,14 @@ def test_tol_env_override(capsys, monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["analyze", "x.json"])
     assert args.tol == 1e-6
-    monkeypatch.setenv("PHZERO_SEED", "7")
-    args = cli.build_parser().parse_args(["analyze", "x.json"])
-    assert args.seed == 7
 
 
-def test_non_integer_seed_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PHZERO_SEED", "abc")
-    code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "ring_three_channel.json"))
+def test_seed_flag_is_gone(capsys):
+    code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "ring_three_channel.json"),
+                         "--seed", "7")
     assert code == 1
     assert out == ""
-    assert err.startswith("usage error: ") and "'abc'" in err
-    assert len(err.splitlines()) == 1
+    assert err == "usage error: unrecognized arguments: --seed 7\n"
 
 
 @pytest.mark.parametrize(
@@ -454,6 +496,22 @@ def test_simulate_csv_export_matches_rows(capsys, tmp_path):
     rows = ["kind,step,cell,channel,value"]
     rows += [f"{k},{s},{c},{ch},{v!r}" for k, s, c, ch, v in tr.rows()]
     assert out == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_file_and_stdout_exports_are_the_same_bytes(capsys, tmp_path, fmt):
+    path = str(CORPUS_DIR / "two_speed_network.json")
+    z0 = np.random.default_rng(4).uniform(-1, 1, (3, 5))
+    z0[0, :2] = [-0.0, 0.0]
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": z0.tolist()}))
+    argv = ["simulate", path, "--initial", str(profile), "--steps", "6", "--format", fmt]
+    out_path = tmp_path / f"traj.{fmt}"
+    code, _, err = run(capsys, *argv, "-o", str(out_path))
+    assert code == 0, err
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.encode("utf-8") == out_path.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from phzero import PHSystem, discrete_reduce, simulate, simulate_zeroing
+from phzero.canonicalize import reflect_positive, split_commensurate
 from phzero.sim import Trajectory
 from phzero.zerodyn import reduce as zd_reduce
 
@@ -120,28 +123,68 @@ def _csv_from_rows(tr):
     return "\n".join(rows) + "\n"
 
 
-AWKWARD = [-0.0, 5e-324, 1e-05, 1e16, 2.0, 0.1 + 0.2]
+AWKWARD = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 2.0, 0.1 + 0.2]
+
+EXPORT_SHAPES = pytest.mark.parametrize(
+    "steps,n,m,grid", [(2, 3, 1, 7), (0, 3, 1, 4), (3, 2, 1, 0), (2, 3, 2, 5)],
+    ids=["awkward-values", "steps-0", "no-cells", "m-2"])
 
 
-@pytest.mark.parametrize("steps,n,m,grid", [(2, 3, 1, 6), (0, 3, 1, 4), (3, 2, 1, 0), (2, 3, 2, 5)],
-                         ids=["awkward-values", "steps-0", "no-cells", "m-2"])
-def test_to_csv_matches_rows(steps, n, m, grid):
+def _awkward_trajectory(steps, n, m, grid):
     def block(*shape):
         return np.resize(np.array(AWKWARD), shape)
 
-    tr = Trajectory(states=block(steps + 1, n, grid), inputs=block(steps, m, grid),
-                    outputs=block(steps, m, grid), p=1.0)
+    return Trajectory(states=block(steps + 1, n, grid), inputs=block(steps, m, grid),
+                      outputs=block(steps, m, grid), p=1.0)
+
+
+def _compact_json(tr):
+    """The compact sorted-key JSON the chunks must reproduce byte for byte."""
+    return json.dumps(tr.to_doc(), sort_keys=True, separators=(",", ":"))
+
+
+@EXPORT_SHAPES
+def test_to_csv_matches_rows(steps, n, m, grid):
+    tr = _awkward_trajectory(steps, n, m, grid)
     text = tr.to_csv()
     assert text == _csv_from_rows(tr)
     assert len(text.splitlines()) == 1 + ((steps + 1) * n + 2 * steps * m) * grid
     if grid == len(AWKWARD):
-        for value in ("-0.0", "5e-324", "1e-05", "1e+16", "2.0", "0.30000000000000004"):
+        for value in ("-0.0", "0.0", "5e-324", "1e-05", "1e+16", "2.0", "0.30000000000000004"):
             assert f",0,{value}\n" in text
+
+
+@EXPORT_SHAPES
+def test_json_chunks_match_dumps(steps, n, m, grid):
+    tr = _awkward_trajectory(steps, n, m, grid)
+    text = "".join(tr.json_chunks())
+    assert text == _compact_json(tr)
+    if grid == len(AWKWARD):
+        assert "[-0.0,0.0,5e-324,1e-05,1e+16,2.0,0.30000000000000004]" in text
+
+
+def test_json_chunks_reject_nonfinite():
+    tr = _awkward_trajectory(1, 2, 1, 3)
+    tr.states[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        "".join(tr.json_chunks())
 
 
 def test_to_csv_matches_rows_on_a_simulation(split_sys, rng):
     tr = simulate(split_sys, rng.uniform(-1, 1, (3, 7)), None, steps=5)
     assert tr.to_csv() == _csv_from_rows(tr)
+
+
+def test_exports_match_on_a_split_two_speed_network(two_speed, rng):
+    """The split chain carries values along unchanged, so most of them
+    repeat from step to step and are formatted from one ``repr``."""
+    system = split_commensurate(reflect_positive(two_speed))
+    z0 = rng.uniform(-1, 1, (system.n, 6))
+    z0[0, :2] = [-0.0, 0.0]
+    tr = simulate(system, z0, None, steps=8)
+    assert np.unique(tr.states.view(np.int64)).size < tr.states.size / 2
+    assert tr.to_csv() == _csv_from_rows(tr)
+    assert "".join(tr.json_chunks()) == _compact_json(tr)
 
 
 def test_first_nonfinite_step():
