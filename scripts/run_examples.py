@@ -39,7 +39,7 @@ def run(path: Path) -> None:
 
     print(f"  well posed: {pz.check_well_posed(system)}")
     stable, radius = pz.is_exponentially_stable(system)
-    print(f"  feedthrough E = {pz.feedthrough(system).ravel()}")
+    print(f"  feedthrough E = {pz.discrete_reduce(system).Dd.ravel()}")
     print(f"  spectral radius of the traversal map: {radius:.12g} "
           f"({'exponentially stable' if stable else 'not exponentially stable'})")
 

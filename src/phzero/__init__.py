@@ -2,27 +2,24 @@
 
 The package analyses networks of one-dimensional transport channels with
 boundary inputs and outputs: well-posedness, exact one-traversal
-discretization, exponential stability, transfer-function evaluation,
-transmission zeros, and above all the zero dynamics (the dynamics
-compatible with an identically vanishing output), computed both as an
-output-nulling subspace and as an explicitly reduced boundary system,
-with an exact characteristics simulator to certify the results.
+discretization, exponential stability, transmission zeros, and above
+all the zero dynamics (the dynamics compatible with an identically
+vanishing output), computed both as an output-nulling subspace and as an
+explicitly reduced boundary system, with an exact characteristics
+simulator to certify the results.
 """
 
 __version__ = "0.1.0"
 
 from .analysis import (
     DiscreteSystem,
-    TransferSample,
     TransmissionZeros,
     check_well_posed,
     discrete_reduce,
-    feedthrough,
     is_exponentially_stable,
     is_transmission_zero,
     output_nulling_stacks,
     scan_zeros,
-    transfer_eval,
 )
 from .canonicalize import (
     DiagonalizedConstant,
@@ -63,12 +60,12 @@ __all__ = [
     "ConsistencyError", "DiagonalizedConstant", "DiscreteSystem",
     "IllPosedError", "MultiSpeedSystem", "NullingFriend", "PHSystem",
     "RationalSpeed", "RawConstantSystem", "ReductionError", "SchemaError",
-    "SingularMatrixError", "Subspace", "Trajectory", "TransferSample",
-    "TransmissionZeros", "UnsupportedSystemError", "ZeroDynamicsResult",
-    "check_well_posed", "diagonalize_constant", "discrete_reduce",
-    "feedthrough", "is_exponentially_stable", "is_transmission_zero",
-    "load_result", "load_system", "nulling_friend", "output_nulling_stacks",
-    "rank", "reduce", "reflect_positive", "save_result", "save_system",
-    "scan_zeros", "simulate", "simulate_zeroing", "spectral_radius",
-    "split_commensurate", "transfer_eval", "validate", "vstar_discrete",
+    "SingularMatrixError", "Subspace", "Trajectory", "TransmissionZeros",
+    "UnsupportedSystemError", "ZeroDynamicsResult", "check_well_posed",
+    "diagonalize_constant", "discrete_reduce", "is_exponentially_stable",
+    "is_transmission_zero", "load_result", "load_system", "nulling_friend",
+    "output_nulling_stacks", "rank", "reduce", "reflect_positive",
+    "save_result", "save_system", "scan_zeros", "simulate",
+    "simulate_zeroing", "spectral_radius", "split_commensurate", "validate",
+    "vstar_discrete",
 ]

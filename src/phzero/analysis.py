@@ -1,5 +1,5 @@
-"""Well-posedness, feedthrough, one-traversal discretization, stability,
-transfer-function evaluation and transmission-zero detection.
+"""Well-posedness, one-traversal discretization, stability and
+transmission-zero detection.
 
 One traversal of the unit interval takes time ``p`` and maps the traveling
 profile exactly through the quadruple::
@@ -59,22 +59,9 @@ class DiscreteSystem:
         return self.Bd.shape[1]
 
 
-@dataclass(frozen=True)
-class TransferSample:
-    """Value of the transfer function at one complex frequency."""
-
-    s: complex
-    value: np.ndarray
-
-
 def check_well_posed(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> bool:
     """True iff the incoming-trace boundary matrix ``[K0; Ku]`` has full rank."""
     return linalg.rank(sys.K, tol) == sys.n
-
-
-def _require_well_posed(sys: PHSystem) -> None:
-    if not check_well_posed(sys):
-        raise IllPosedError("boundary matrix [K0; Ku] is singular")
 
 
 def discrete_reduce(sys: PHSystem) -> DiscreteSystem:
@@ -84,7 +71,8 @@ def discrete_reduce(sys: PHSystem) -> DiscreteSystem:
     their Frobenius residuals against ``1e-12`` of the problem scale;
     an inaccurate solve raises :class:`ConsistencyError`.
     """
-    _require_well_posed(sys)
+    if not check_well_posed(sys):
+        raise IllPosedError("boundary matrix [K0; Ku] is singular")
     k = sys.K
     lmat = sys.L
     rhs = np.zeros((sys.n, sys.m))
@@ -100,13 +88,6 @@ def discrete_reduce(sys: PHSystem) -> DiscreteSystem:
     return DiscreteSystem(Ad=ad, Bd=bd, Cd=cd, Dd=dd, p=sys.p)
 
 
-def feedthrough(sys: PHSystem) -> np.ndarray:
-    """Instantaneous input-to-output map ``E`` (the high-frequency limit
-    of the transfer function): ``Dd``, the trailing m columns of
-    ``Ky inv(K)``."""
-    return discrete_reduce(sys).Dd
-
-
 def is_exponentially_stable(sys: PHSystem | DiscreteSystem) -> tuple[bool, float]:
     """Stability verdict and the spectral radius of the traversal map.
 
@@ -117,26 +98,6 @@ def is_exponentially_stable(sys: PHSystem | DiscreteSystem) -> tuple[bool, float
     d = sys if isinstance(sys, DiscreteSystem) else discrete_reduce(sys)
     r = linalg.spectral_radius(d.Ad)
     return r < 1.0 - STABILITY_MARGIN, r
-
-
-def transfer_eval(sys: PHSystem, s: complex) -> TransferSample:
-    """Evaluate the transfer function by solving the boundary pencil.
-
-    Solves ``(K + L w) v = [0; u]`` columnwise for unit inputs and returns
-    ``(Ky + Ly w) v``; equals ``Dd + Cd (z I - Ad)^-1 Bd`` at ``z = 1/w``.
-    """
-    _require_well_posed(sys)
-    w = np.exp(-complex(s) * sys.p)
-    pencil = sys.K + sys.L * w
-    if not linalg.is_invertible(pencil, cond_limit=1e12):
-        raise SingularMatrixError(
-            f"boundary pencil singular at s={s} (pole candidate)"
-        )
-    rhs = np.zeros((sys.n, sys.m), dtype=complex)
-    rhs[sys.n - sys.m :, :] = np.eye(sys.m)
-    v = np.linalg.solve(pencil, rhs)
-    value = (sys.Ky + sys.Ly * w) @ v
-    return TransferSample(s=complex(s), value=value)
 
 
 def output_nulling_stacks(sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:

@@ -16,14 +16,15 @@ failure (ill-posed, unsupported, singular zero pencil, or a simulation
 too large for memory), 4 internal assertion or a simulated trajectory
 that goes non-finite.
 Machine-readable reports (``--json``) are byte-identical for identical
-inputs and flags.  ``--tol`` falls back to the ``PHZERO_TOL``
-environment variable.
+inputs and flags.  ``analyze``, ``zerodyn``, ``vstar`` and ``simulate``
+take ``--tol``, the relative rank tolerance; it falls back to the
+``PHZERO_TOL`` environment variable.
 
 ``simulate`` writes its export to ``-o`` or to stdout (the summary then
 goes to stderr).  ``--format json`` is the report plus a ``trajectory``
 object on one line with sorted keys; ``--format csv`` is one
 ``kind,step,cell,channel,value`` line per sample
-(:meth:`phzero.sim.Trajectory.to_csv`).
+(:meth:`phzero.sim.Trajectory.csv_chunks`).
 """
 
 import argparse
@@ -338,22 +339,23 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"phzero {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False):
         p.add_argument("file", help="system document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-        p.add_argument("--tol", type=_positive_tol, default=tol_default,
-                       help="relative rank tolerance (env PHZERO_TOL)")
+        if tol:
+            p.add_argument("--tol", type=_positive_tol, default=tol_default,
+                           help="relative rank tolerance (env PHZERO_TOL)")
         return p
 
     common(sub.add_parser("validate", help="check loadability and well-posedness"))
     p = common(sub.add_parser("split", help="rewrite as a uniform-travel-time network"))
     p.add_argument("-o", "--output", help="write the uniform system document here")
-    common(sub.add_parser("analyze", help="well-posedness, feedthrough, stability"))
-    p = common(sub.add_parser("zerodyn", help="construct the zero dynamics"))
+    common(sub.add_parser("analyze", help="well-posedness, feedthrough, stability"), tol=True)
+    p = common(sub.add_parser("zerodyn", help="construct the zero dynamics"), tol=True)
     p.add_argument("-o", "--output", help="write the reduction result document here")
-    common(sub.add_parser("vstar", help="output-nulling subspace"))
+    common(sub.add_parser("vstar", help="output-nulling subspace"), tol=True)
     common(sub.add_parser("zeros", help="transmission zeros"))
-    p = common(sub.add_parser("simulate", help="exact characteristics simulation"))
+    p = common(sub.add_parser("simulate", help="exact characteristics simulation"), tol=True)
     p.add_argument("--initial", required=True, help="initial profile document (JSON with 'z0')")
     p.add_argument("--steps", type=_int_at_least(0, "non-negative"), default=20,
                    help="traversals to simulate")

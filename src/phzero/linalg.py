@@ -131,17 +131,6 @@ class Subspace:
         res = v - self.project(v)
         return float(np.abs(res).max()) if res.size else 0.0
 
-    def same_as(self, other: "Subspace", tol: float = 1e-9) -> bool:
-        """Mutual containment of two subspaces at the given tolerance."""
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        if self.dim == 0:
-            return True
-        return (
-            two_norm(self.basis - other.project(self.basis)) <= tol
-            and two_norm(other.basis - self.project(other.basis)) <= tol
-        )
-
 
 def spectral_radius(mat) -> float:
     """Largest eigenvalue magnitude (balanced Hessenberg QR iteration).

@@ -60,10 +60,6 @@ class RationalSpeed:
         object.__setattr__(self, "den", self.den // g)
 
     @property
-    def magnitude(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @property
     def travel_time(self) -> Fraction:
         """Time for one traversal of the unit interval."""
         return Fraction(self.den, self.num)

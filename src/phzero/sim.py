@@ -57,8 +57,8 @@ class Trajectory:
 
     def rows(self):
         """Long-format (kind, step, cell, channel, value) records, in the
-        row order of :meth:`to_csv`: states, inputs, outputs; then step,
-        channel, cell."""
+        line order of :meth:`csv_chunks`: states, inputs, outputs; then
+        step, channel, cell."""
         for kind, block in self._blocks():
             for step in range(block.shape[0]):
                 for channel in range(block.shape[1]):
@@ -69,7 +69,9 @@ class Trajectory:
         return (("state", self.states), ("input", self.inputs), ("output", self.outputs))
 
     def csv_chunks(self):
-        """The text of :meth:`to_csv`, one chunk per header and step.
+        """The records of :meth:`rows` as CSV text, one chunk per header
+        and step: a ``kind,step,cell,channel,value`` header, one line per
+        record with the value's ``repr``, and a trailing newline.
 
         Two steps of one kind differ only in the ``kind,step`` head and
         the values, so each kind gets one ``%s`` template, with NUL
@@ -86,12 +88,6 @@ class Trajectory:
             )
             for step, values in enumerate(_step_reprs(block)):
                 yield template.replace("\0", f"{kind},{step}") % values
-
-    def to_csv(self) -> str:
-        """The records of :meth:`rows` as CSV text: a ``kind,step,cell,
-        channel,value`` header, one line per record with the value's
-        ``repr``, and a trailing newline."""
-        return "".join(self.csv_chunks())
 
     def json_chunks(self):
         """``json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))``

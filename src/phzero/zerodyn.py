@@ -207,11 +207,11 @@ class ZeroDynamicsResult:
             w = mat @ w
         return w
 
-    def nulling_subspace(self, tol: float = linalg.DEFAULT_TOL) -> Subspace:
+    def nulling_subspace(self) -> Subspace:
         """Pointwise state set of the zero dynamics: the span of the
         orthonormal rows of :attr:`reduced_state_map` (the kernel of the
         constraint rows)."""
-        return Subspace(self.reduced_state_map.T, tol)
+        return Subspace(self.reduced_state_map.T)
 
     @cached_property
     def reduced_step(self) -> np.ndarray:

@@ -6,8 +6,11 @@ the one-traversal quadruple, a second route to the subspace that
 built on the subspace lattice :func:`nullspace`, :func:`preimage` and
 :func:`subspace_intersect`.  :func:`cross_check` compares
 :func:`phzero.reduce` with it and certifies the reduced zeros.
-:func:`transfer_eval_resolvent` evaluates the transfer function through
-the quadruple's resolvent, a second route to :func:`phzero.transfer_eval`.
+:func:`transfer_eval` evaluates the transfer function by a
+boundary-pencil solve and :func:`transfer_eval_resolvent` through the
+quadruple's resolvent; the two routes check each other.  :func:`same_as`
+tests two subspaces for mutual containment.  :func:`exact_root_count`
+counts the transmission zeros of a system in exact rational arithmetic.
 
 :func:`lu_decompose` (a row-pivoted triangular factorization) and
 :func:`schur_block_inverse` (the left blocks of a 2x2-partitioned
@@ -22,13 +25,14 @@ transformation and the uniform-grid simulator are checked.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from phzero import analysis, linalg
 from phzero.analysis import DiscreteSystem, discrete_reduce
 from phzero.canonicalize import common_travel_time
-from phzero.errors import ConsistencyError, SingularMatrixError
+from phzero.errors import ConsistencyError, IllPosedError, SingularMatrixError
 from phzero.linalg import Subspace
 from phzero.model import PHSystem
 from phzero.zerodyn import reduce
@@ -117,11 +121,108 @@ def vstar_from_quadruple(d: DiscreteSystem, tol: float = linalg.DEFAULT_TOL) -> 
     raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
 
 
+def same_as(v: Subspace, w: Subspace, tol: float = 1e-9) -> bool:
+    """Mutual containment of two subspaces at the given tolerance."""
+    if v.ambient_dim != w.ambient_dim or v.dim != w.dim:
+        return False
+    if v.dim == 0:
+        return True
+    return (
+        linalg.two_norm(v.basis - w.project(v.basis)) <= tol
+        and linalg.two_norm(w.basis - v.project(w.basis)) <= tol
+    )
+
+
+@dataclass(frozen=True)
+class TransferSample:
+    """Value of the transfer function at one complex frequency."""
+
+    s: complex
+    value: np.ndarray
+
+
+def transfer_eval(sys: PHSystem, s: complex) -> TransferSample:
+    """Evaluate the transfer function by solving the boundary pencil.
+
+    Solves ``(K + L w) v = [0; u]`` columnwise for unit inputs and returns
+    ``(Ky + Ly w) v``; equals ``Dd + Cd (z I - Ad)^-1 Bd`` at ``z = 1/w``.
+    """
+    if not analysis.check_well_posed(sys):
+        raise IllPosedError("boundary matrix [K0; Ku] is singular")
+    w = np.exp(-complex(s) * sys.p)
+    pencil = sys.K + sys.L * w
+    if not linalg.is_invertible(pencil, cond_limit=1e12):
+        raise SingularMatrixError(
+            f"boundary pencil singular at s={s} (pole candidate)"
+        )
+    rhs = np.zeros((sys.n, sys.m), dtype=complex)
+    rhs[sys.n - sys.m :, :] = np.eye(sys.m)
+    v = np.linalg.solve(pencil, rhs)
+    value = (sys.Ky + sys.Ly * w) @ v
+    return TransferSample(s=complex(s), value=value)
+
+
 def transfer_eval_resolvent(d: DiscreteSystem, s: complex) -> np.ndarray:
     """Same value through the quadruple: ``Dd + Cd (z I - Ad)^-1 Bd``."""
     z = np.exp(complex(s) * d.p)
     resolvent = np.linalg.solve(z * np.eye(d.n) - d.Ad, d.Bd)
     return d.Dd + d.Cd @ resolvent
+
+
+def _exact_det(rows) -> Fraction:
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                a[r][col:] = [x - factor * y for x, y in zip(a[r][col:], a[col][col:])]
+    return det
+
+
+def _newton_coefficients(values) -> list:
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    ``len(values)`` that takes ``values[i]`` at ``i``."""
+    diffs = list(values)
+    for level in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / level
+    coeffs = [Fraction(0)] * len(diffs)
+    basis = [Fraction(1)]  # prod_{i < j} (w - i), lowest degree first
+    for j, diff in enumerate(diffs):
+        for k, b in enumerate(basis):
+            coeffs[k] += diff * b
+        basis = [(basis[k - 1] if k else 0) - j * (basis[k] if k < len(basis) else 0)
+                 for k in range(len(basis) + 1)]
+    return coeffs
+
+
+def exact_root_count(sys: PHSystem) -> int | None:
+    """Exact number of finite, nonzero transmission zeros in ``w``.
+
+    Every float entry is an exact rational, so ``p(w) = det([K0; Ky] +
+    w [L0; Ly])`` is decided exactly: evaluated at ``w = 0..n`` by
+    Fraction elimination and interpolated in Newton form.  Returns
+    ``None`` when ``p`` vanishes identically (the transfer matrix is
+    singular at every ``s``), otherwise ``deg p`` minus the order of
+    ``p`` at 0, the count :func:`phzero.scan_zeros` lists.
+    """
+    a = [[Fraction(float(x)) for x in row] for row in np.vstack([sys.K0, sys.Ky])]
+    b = [[Fraction(float(x)) for x in row] for row in np.vstack([sys.L0, sys.Ly])]
+    values = [_exact_det([[x + w * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+              for w in range(sys.n + 1)]
+    nonzero = [i for i, c in enumerate(_newton_coefficients(values)) if c]
+    if not nonzero:
+        return None
+    return nonzero[-1] - nonzero[0]
 
 
 @dataclass(frozen=True)

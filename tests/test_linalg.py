@@ -12,6 +12,7 @@ from oracles import (
     lu_decompose,
     nullspace,
     preimage,
+    same_as,
     schur_block_inverse,
     subspace_intersect,
 )
@@ -128,7 +129,7 @@ def test_subspace_rejects_non_orthonormal():
 def test_intersect_self(rng):
     v = Subspace.from_span(rng.standard_normal((5, 2)))
     w = subspace_intersect(v, v)
-    assert w.dim == v.dim and w.same_as(v)
+    assert w.dim == v.dim and same_as(w, v)
 
 
 def test_intersect_coordinate_planes():
@@ -137,7 +138,7 @@ def test_intersect_coordinate_planes():
     w = Subspace(e[:, 1:])
     inter = subspace_intersect(v, w)
     assert inter.dim == 1
-    assert inter.same_as(Subspace(e[:, 1:2]))
+    assert same_as(inter, Subspace(e[:, 1:2]))
 
 
 def test_intersect_dimension_formula(rng):
@@ -167,7 +168,7 @@ def test_intersect_ambient_mismatch():
 
 def test_preimage_identity_and_zero(rng):
     w = Subspace.from_span(rng.standard_normal((4, 2)))
-    assert preimage(np.eye(4), w).same_as(w)
+    assert same_as(preimage(np.eye(4), w), w)
     assert preimage(np.zeros((4, 4)), w).dim == 4
 
 

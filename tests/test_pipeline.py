@@ -149,7 +149,7 @@ def test_public_names_are_explicit():
 
     import phzero
 
-    assert len(phzero.__all__) == len(set(phzero.__all__)) == 41
+    assert len(phzero.__all__) == len(set(phzero.__all__)) == 38
     for name in phzero.__all__:
         assert not isinstance(getattr(phzero, name), types.ModuleType), name
 

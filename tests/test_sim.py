@@ -146,7 +146,7 @@ def _compact_json(tr):
 @EXPORT_SHAPES
 def test_to_csv_matches_rows(steps, n, m, grid):
     tr = _awkward_trajectory(steps, n, m, grid)
-    text = tr.to_csv()
+    text = "".join(tr.csv_chunks())
     assert text == _csv_from_rows(tr)
     assert len(text.splitlines()) == 1 + ((steps + 1) * n + 2 * steps * m) * grid
     if grid == len(AWKWARD):
@@ -172,7 +172,7 @@ def test_json_chunks_reject_nonfinite():
 
 def test_to_csv_matches_rows_on_a_simulation(split_sys, rng):
     tr = simulate(split_sys, rng.uniform(-1, 1, (3, 7)), None, steps=5)
-    assert tr.to_csv() == _csv_from_rows(tr)
+    assert "".join(tr.csv_chunks()) == _csv_from_rows(tr)
 
 
 def test_exports_match_on_a_split_two_speed_network(two_speed, rng):
@@ -183,7 +183,7 @@ def test_exports_match_on_a_split_two_speed_network(two_speed, rng):
     z0[0, :2] = [-0.0, 0.0]
     tr = simulate(system, z0, None, steps=8)
     assert np.unique(tr.states.view(np.int64)).size < tr.states.size / 2
-    assert tr.to_csv() == _csv_from_rows(tr)
+    assert "".join(tr.csv_chunks()) == _csv_from_rows(tr)
     assert "".join(tr.json_chunks()) == _compact_json(tr)
 
 

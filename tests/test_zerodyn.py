@@ -23,12 +23,12 @@ from phzero.zerodyn import reduce as zd_reduce
 
 from conftest import criterion_6_ensemble
 from ensembles import random_siso_system, random_square_system
-from oracles import cross_check, preimage, subspace_intersect, vstar_from_quadruple
+from oracles import cross_check, preimage, same_as, subspace_intersect, vstar_from_quadruple
 
 
 def span_equal(subspace, rows, tol=1e-9):
     other = Subspace.from_span(np.atleast_2d(np.asarray(rows, dtype=float)).T)
-    return subspace.same_as(other, tol)
+    return same_as(subspace, other, tol)
 
 
 def functional_mod_constraints(f, constraints):
@@ -86,7 +86,7 @@ def test_vstar_fixed_point_idempotent(split_sys, ring_sys, sparse_ten):
         v = vstar_discrete(e, f)
         image = Subspace.from_span(e @ v.basis)
         again = subspace_intersect(v, preimage(f, image))
-        assert again.dim == v.dim and again.same_as(v)
+        assert again.dim == v.dim and same_as(again, v)
 
 
 def test_vstar_routes_agree_random(rng):
@@ -95,7 +95,7 @@ def test_vstar_routes_agree_random(rng):
         v1 = vstar_discrete(*output_nulling_stacks(sysr))
         v2 = vstar_from_quadruple(discrete_reduce(sysr))
         assert v1.dim == v2.dim
-        assert v1.same_as(v2, tol=1e-8)
+        assert same_as(v1, v2, tol=1e-8)
 
 
 # ---------------------------------------------------------------- friend
@@ -167,8 +167,8 @@ def test_reduce_ring_golden(ring_sys):
     assert span_equal(Subspace(res.reduced_state_map.T), [[0, 0, 1]], tol=1e-12)
     assert_allclose(res.Kw, [[1.0]], atol=1e-12)
     assert_allclose(res.Lw, [[0.0]], atol=1e-12)
-    assert Subspace.from_span(res.constraints.T).same_as(
-        Subspace(np.eye(3)[:, :2]), tol=1e-10)
+    assert same_as(Subspace.from_span(res.constraints.T),
+                   Subspace(np.eye(3)[:, :2]), tol=1e-10)
     fk, fl = res.input_functional_original()
     assert np.abs(functional_mod_constraints(fk, res.constraints)).max() <= 1e-10
     assert np.abs(functional_mod_constraints(fl, res.constraints) - [0, 0, 1]).max() <= 1e-10
@@ -185,8 +185,6 @@ def test_reduce_sparse_ten_golden(sparse_ten):
 
 
 def test_reduce_full_state_path(rng):
-    from phzero import feedthrough
-
     for _ in range(10):
         sysr = random_square_system(rng, singular_stack=False)
         res = zd_reduce(sysr)
@@ -195,7 +193,7 @@ def test_reduce_full_state_path(rng):
         assert np.array_equal(res.Ku_tilde, sysr.Ku)
         # full-state zero dynamics go hand in hand with an invertible
         # instantaneous input-to-output map
-        e = feedthrough(sysr)
+        e = discrete_reduce(sysr).Dd
         sv = np.linalg.svd(e, compute_uv=False)
         assert sv[-1] > 1e-8 * max(sv[0], 1e-300)
 
@@ -301,7 +299,7 @@ def test_reduce_deep_ring(n, d):
     assert np.abs(res.constraints @ known.basis).max() <= 1e-12
     e, f = output_nulling_stacks(sysr)
     assert res.deflation_residual <= 1e-12 * (np.linalg.norm(e) + np.linalg.norm(f))
-    assert vstar_discrete(e, f).same_as(known)
+    assert same_as(vstar_discrete(e, f), known)
 
     z0 = np.zeros((n, 4))
     z0[d:] = np.random.default_rng(n + d).uniform(-1, 1, (n - d, 4))
@@ -332,11 +330,11 @@ def test_deflation_agrees_with_iteration_and_zero_verdict():
         singular = _deflate(e, f) is None
         assert singular == pencil_roots(-e, f)[1], f"sample {i}"
         if not singular:
-            assert vstar_discrete(e, f).same_as(_vstar_iteration(e, f)), f"sample {i}"
+            assert same_as(vstar_discrete(e, f), _vstar_iteration(e, f)), f"sample {i}"
             regular += 1
         elif sysr.m > 1:
             oracle = vstar_from_quadruple(discrete_reduce(sysr))
-            assert _vstar_iteration(e, f).same_as(oracle, tol=1e-8), f"sample {i}"
+            assert same_as(_vstar_iteration(e, f), oracle, tol=1e-8), f"sample {i}"
             singular_mimo += 1
     assert 150 <= regular < 200 and singular_mimo == 60
 
@@ -358,7 +356,7 @@ def test_vstar_and_friend_mimo(rng):
         d = discrete_reduce(sysr)
         v1 = vstar_discrete(*output_nulling_stacks(sysr))
         v2 = vstar_from_quadruple(d)
-        assert v1.dim == v2.dim and v1.same_as(v2, tol=1e-8)
+        assert v1.dim == v2.dim and same_as(v1, v2, tol=1e-8)
         fr = nulling_friend(d, v1)
         if v1.dim:
             closed = (d.Ad + d.Bd @ fr.Fd) @ v1.basis
