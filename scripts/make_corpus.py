@@ -22,6 +22,28 @@ def two_speed_network() -> MultiSpeedSystem:
     )
 
 
+def colocated_string() -> MultiSpeedSystem:
+    """A string with colocated force input and velocity output, whose
+    feedthrough ``Dd = 1`` is invertible, so the zero dynamics live on the
+    full state space.
+
+    The port-Hamiltonian form is ``x_t = P1 (H x)_zeta`` with
+    ``P1 = [[0, 1], [1, 0]]`` and ``H = I``, where ``(H x)_1`` is the
+    velocity and ``(H x)_2`` the force: clamped (zero velocity) at
+    ``zeta = 0``, with force in and velocity out at ``zeta = 1``.  These
+    rows are the output of ``canonicalize.diagonalize_constant`` on that
+    system, scaled by ``sqrt(2)``.
+    """
+    return MultiSpeedSystem(
+        speeds=(RationalSpeed(1, 1, 1), RationalSpeed(1, 1, -1)),
+        K=[[1, -1], [0, 0]],
+        L=[[0, 0], [1, 1]],
+        Ky=[[0, 0]],
+        Ly=[[1, -1]],
+        m=1,
+    )
+
+
 def split_three_channel() -> PHSystem:
     """Uniform form of the two-speed network (slow channel split in two)."""
     return PHSystem(
@@ -81,6 +103,7 @@ CORPUS = {
     "split_three_channel.json": split_three_channel,
     "ring_three_channel.json": ring_three_channel,
     "sparse_ten_channel.json": sparse_ten_channel,
+    "colocated_string.json": colocated_string,
 }
 
 

@@ -59,9 +59,9 @@ class DiscreteSystem:
         return self.Bd.shape[1]
 
 
-def check_well_posed(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> bool:
+def check_well_posed(sys: PHSystem) -> bool:
     """True iff the incoming-trace boundary matrix ``[K0; Ku]`` has full rank."""
-    return linalg.rank(sys.K, tol) == sys.n
+    return linalg.rank(sys.K) == sys.n
 
 
 def discrete_reduce(sys: PHSystem) -> DiscreteSystem:
@@ -106,9 +106,9 @@ def output_nulling_stacks(sys: PHSystem) -> tuple[np.ndarray, np.ndarray]:
     return -np.vstack([sys.K0, sys.Ky]), np.vstack([sys.L0, sys.Ly])
 
 
-def is_transmission_zero(sys: PHSystem, s: complex, tol: float = ZERO_TEST_TOL) -> bool:
+def is_transmission_zero(sys: PHSystem, s: complex) -> bool:
     """True iff the stacked zero pencil ``[K0 + L0 w; Ky + Ly w]`` is
-    singular at ``w = exp(-s p)``.
+    singular at ``w = exp(-s p)``, to :data:`ZERO_TEST_TOL`.
 
     Requires the boundary pencil ``K + L exp(-s p)`` to be invertible at
     ``s`` (raises otherwise: ``s`` is a pole candidate).
@@ -118,7 +118,7 @@ def is_transmission_zero(sys: PHSystem, s: complex, tol: float = ZERO_TEST_TOL) 
         raise SingularMatrixError(f"boundary pencil singular at s={s}")
     e, f = output_nulling_stacks(sys)
     sv = np.linalg.svd(f * w - e, compute_uv=False)
-    return bool(sv[-1] <= tol * max(sv[0], np.finfo(float).tiny))
+    return bool(sv[-1] <= ZERO_TEST_TOL * max(sv[0], np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ failure (ill-posed, unsupported, singular zero pencil, or a simulation
 too large for memory), 4 internal assertion or a simulated trajectory
 that goes non-finite.
 Machine-readable reports (``--json``) are byte-identical for identical
-inputs and flags.  ``analyze``, ``zerodyn``, ``vstar`` and ``simulate``
-take ``--tol``, the relative rank tolerance; it falls back to the
-``PHZERO_TOL`` environment variable.
+inputs and flags.  Every rank decision uses
+:data:`phzero.linalg.DEFAULT_TOL`, so a report depends only on its input
+files, its flags and the version; no environment variable is read.
 
 ``simulate`` writes its export to ``-o`` or to stdout (the summary then
 goes to stderr).  ``--format json`` is the report plus a ``trajectory``
@@ -30,7 +30,6 @@ object on one line with sorted keys; ``--format csv`` is one
 import argparse
 import hashlib
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -134,8 +133,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_analyze(args) -> int:
     system, canonicalized = _load_uniform(args.file)
-    well = analysis.check_well_posed(system, args.tol)
-    if not well:
+    if not analysis.check_well_posed(system):
         doc = _report(
             "analyze", {args.file: _digest(args.file)},
             {"well_posed": False, "canonicalized": canonicalized},
@@ -175,7 +173,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_zerodyn(args) -> int:
     system, canonicalized = _load_uniform(args.file)
-    result = zerodyn.reduce(system, tol=args.tol)
+    result = zerodyn.reduce(system)
     fk, fl = result.input_functional_original()
     res_doc = model.result_doc(result)
     if args.output:
@@ -203,9 +201,17 @@ def _cmd_zerodyn(args) -> int:
     return EXIT_OK
 
 
+def _load_well_posed(path: str) -> tuple[model.PHSystem, bool]:
+    """:func:`_load_uniform` that refuses an ill-posed system as ``reduce`` does."""
+    system, canonicalized = _load_uniform(path)
+    if not analysis.check_well_posed(system):
+        raise IllPosedError("boundary matrix [K0; Ku] is singular")
+    return system, canonicalized
+
+
 def _cmd_vstar(args) -> int:
-    system, canonicalized = _load_uniform(args.file)
-    v = zerodyn.vstar_discrete(*analysis.output_nulling_stacks(system), tol=args.tol)
+    system, canonicalized = _load_well_posed(args.file)
+    v = zerodyn.vstar_discrete(*analysis.output_nulling_stacks(system))
     doc = _report(
         "vstar",
         {args.file: _digest(args.file)},
@@ -218,7 +224,7 @@ def _cmd_vstar(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    system, canonicalized = _load_uniform(args.file)
+    system, canonicalized = _load_well_posed(args.file)
     scan = analysis.scan_zeros(system)
     findings = {
         "canonicalized": canonicalized,
@@ -241,30 +247,26 @@ def _cmd_zeros(args) -> int:
     return EXIT_OK
 
 
-def _load_profile(path: str, n: int, grid: int | None) -> np.ndarray:
+def _load_profile(path: str, n: int) -> np.ndarray:
     doc = model._load_json(path)
     if "z0" not in doc:
         raise SchemaError(f"{path}: expected an object with field 'z0'")
     z0 = model._float_array(doc["z0"], "z0")
     if z0.ndim != 2 or z0.shape[0] != n:
         raise SchemaError(f"field 'z0': expected {n} rows, got shape {z0.shape}")
-    if grid is not None and z0.shape[1] != grid:
-        raise SchemaError(f"field 'z0': expected {grid} cells, got {z0.shape[1]}")
     return z0
 
 
 def _cmd_simulate(args) -> int:
     system, canonicalized = _load_uniform(args.file)
-    z0 = _load_profile(args.initial, system.n, args.grid)
+    z0 = _load_profile(args.initial, system.n)
     # a diverging run is reported below, once, instead of by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if args.mode == "open":
             trajectory = sim.simulate(system, z0, u=None, steps=args.steps)
         else:
-            result = zerodyn.reduce(system, tol=args.tol)
-            trajectory = sim.simulate_zeroing(
-                system, result, z0, steps=args.steps, mode=args.feedback
-            )
+            result = zerodyn.reduce(system)
+            trajectory = sim.simulate_zeroing(system, result, z0, steps=args.steps)
     bad_step = trajectory.first_nonfinite_step()
     if bad_step is not None:
         raise ConsistencyError(
@@ -304,65 +306,41 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# argparse words a ValueError from a ``type`` by the function's name, so
-# these raise ArgumentTypeError with the whole message instead
-
-
-def _int_at_least(low: int, what: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
-        return value
-
-    return parse
-
-
-def _positive_tol(text: str) -> float:
+def _nonnegative_int(text: str) -> int:
+    # argparse words a ValueError from a ``type`` by the function's name,
+    # so this raises ArgumentTypeError with the whole message instead
     try:
-        value = float(text)
+        value = int(text)
     except ValueError:
         value = None
-    if value is None or not value > 0:
-        raise argparse.ArgumentTypeError(f"tol must be positive, got {text!r}")
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
 def build_parser() -> _Parser:
-    # a string default goes through ``type`` too, so PHZERO_TOL is
-    # checked like the flag
-    tol_default = os.environ.get("PHZERO_TOL", str(linalg.DEFAULT_TOL))
     parser = _Parser(prog="phzero", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"phzero {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=False):
+    def common(p):
         p.add_argument("file", help="system document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-        if tol:
-            p.add_argument("--tol", type=_positive_tol, default=tol_default,
-                           help="relative rank tolerance (env PHZERO_TOL)")
         return p
 
     common(sub.add_parser("validate", help="check loadability and well-posedness"))
     p = common(sub.add_parser("split", help="rewrite as a uniform-travel-time network"))
     p.add_argument("-o", "--output", help="write the uniform system document here")
-    common(sub.add_parser("analyze", help="well-posedness, feedthrough, stability"), tol=True)
-    p = common(sub.add_parser("zerodyn", help="construct the zero dynamics"), tol=True)
+    common(sub.add_parser("analyze", help="well-posedness, feedthrough, stability"))
+    p = common(sub.add_parser("zerodyn", help="construct the zero dynamics"))
     p.add_argument("-o", "--output", help="write the reduction result document here")
-    common(sub.add_parser("vstar", help="output-nulling subspace"), tol=True)
+    common(sub.add_parser("vstar", help="output-nulling subspace"))
     common(sub.add_parser("zeros", help="transmission zeros"))
-    p = common(sub.add_parser("simulate", help="exact characteristics simulation"), tol=True)
+    p = common(sub.add_parser("simulate", help="exact characteristics simulation"))
     p.add_argument("--initial", required=True, help="initial profile document (JSON with 'z0')")
-    p.add_argument("--steps", type=_int_at_least(0, "non-negative"), default=20,
+    p.add_argument("--steps", type=_nonnegative_int, default=20,
                    help="traversals to simulate")
-    p.add_argument("--grid", type=_int_at_least(1, "positive"), default=None,
-                   help="expected cells per channel")
     p.add_argument("--mode", choices=["open", "zeroing"], default="open")
-    p.add_argument("--feedback", choices=["reduction", "friend"], default="reduction")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("-o", "--output", help="write the trajectory export here")
     return parser

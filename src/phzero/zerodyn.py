@@ -31,6 +31,9 @@ from .errors import ConsistencyError, IllPosedError, ReductionError
 from .linalg import Subspace
 from .model import PHSystem
 
+#: Relative residual bound of the solve and certificates of :func:`nulling_friend`.
+FRIEND_TOL = 1e-10
+
 #: Bound on the deflation residual ``|E V M - F V|`` relative to
 #: ``|E| |M| + |F|`` (Frobenius norms).  QZ is backward stable, so the
 #: residual sits at a small multiple of the unit roundoff.
@@ -88,27 +91,27 @@ def _deflate(e, f):
     return z, k, m, residual
 
 
-def vstar_discrete(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
+def vstar_discrete(e, f) -> Subspace:
     """Largest subspace ``V`` with ``F V ⊆ E V``.
 
     For a regular pencil ``F - lambda E`` this is the right deflating
-    subspace of its finite eigenvalues, computed by :func:`_deflate`
-    (``tol`` is then unused).  A non-square or singular pencil goes to
-    :func:`_vstar_iteration`.
+    subspace of its finite eigenvalues, computed by :func:`_deflate`.  A
+    non-square or singular pencil goes to :func:`_vstar_iteration`.
     """
     deflation = _deflate(e, f)
     if deflation is None:
-        return _vstar_iteration(e, f, tol)
+        return _vstar_iteration(e, f)
     z, k, _, _ = deflation
-    return Subspace(z[:, :k], tol)
+    return Subspace(z[:, :k])
 
 
-def _vstar_iteration(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
+def _vstar_iteration(e, f) -> Subspace:
     """Largest subspace ``V`` with ``F V ⊆ E V`` by subspace iteration.
 
     Fixed point of ``V`` = full space, ``V <- V null((I - P_{EV}) F V)``,
     i.e. ``V ∩ F^{-1} E V`` on an orthonormal basis: the range of ``E V``
-    is judged against ``|E|`` and the null space against ``tol |F|``.
+    and the null space are decided at :data:`phzero.linalg.DEFAULT_TOL`
+    relative to ``|E|`` and ``|F|``.
     The dimension strictly decreases until the fixed point, so at most
     ``n`` steps run.  The route for non-square and singular pencils.
     """
@@ -121,12 +124,12 @@ def _vstar_iteration(e, f, tol: float = linalg.DEFAULT_TOL) -> Subspace:
     f_scale = linalg.two_norm(f)
     v = np.eye(n)
     for _ in range(n + 1):
-        image = Subspace.from_span(e @ v, tol, anchor=e_scale)
+        image = Subspace.from_span(e @ v, anchor=e_scale)
         fv = f @ v
         s, vh = np.linalg.svd(fv - image.project(fv))[1:]
-        r = int(np.count_nonzero(s > tol * f_scale))
+        r = int(np.count_nonzero(s > linalg.DEFAULT_TOL * f_scale))
         if r == 0:
-            return Subspace(v, tol)
+            return Subspace(v)
         v = v @ vh[r:, :].conj().T
     raise ConsistencyError("output-nulling iteration failed to reach a fixed point")
 
@@ -139,12 +142,13 @@ class NullingFriend:
     Vbasis: Subspace
 
 
-def nulling_friend(d: analysis.DiscreteSystem, v: Subspace, tol: float = 1e-10) -> NullingFriend:
+def nulling_friend(d: analysis.DiscreteSystem, v: Subspace) -> NullingFriend:
     """Feedback ``Fd`` with ``(Ad + Bd Fd) V ⊆ V`` and ``(Cd + Dd Fd) V = 0``.
 
     For each basis vector the consistent system
     ``[Bd, -V; Dd, 0] [u; x] = [-Ad v; -Cd v]`` is solved by least
-    squares; a residual above ``tol`` means ``v`` was not output-nulling.
+    squares; a residual above :data:`FRIEND_TOL` means ``v`` was not
+    output-nulling.
     ``Fd`` annihilates the orthogonal complement of ``V``.
     """
     n, m = d.n, d.m
@@ -158,7 +162,7 @@ def nulling_friend(d: analysis.DiscreteSystem, v: Subspace, tol: float = 1e-10) 
     sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
     scale = max(1.0, float(np.abs(rhs).max()))
     residual = linalg.two_norm(big @ sol - rhs)
-    if residual > tol * scale:
+    if residual > FRIEND_TOL * scale:
         raise ConsistencyError(
             f"subspace is not output-nulling (residual {residual:.3e})"
         )
@@ -166,7 +170,7 @@ def nulling_friend(d: analysis.DiscreteSystem, v: Subspace, tol: float = 1e-10) 
     closed = (d.Ad + d.Bd @ fd) @ basis
     inv_res = linalg.two_norm(closed - v.project(closed))
     out_res = linalg.two_norm((d.Cd + d.Dd @ fd) @ basis)
-    if inv_res > tol * max(1.0, linalg.two_norm(closed)) or out_res > tol * scale:
+    if inv_res > FRIEND_TOL * max(1.0, linalg.two_norm(closed)) or out_res > FRIEND_TOL * scale:
         raise ConsistencyError(
             f"feedback certificate failed (invariance {inv_res:.3e}, output {out_res:.3e})"
         )
@@ -250,9 +254,11 @@ def _normalize_constraint(row: np.ndarray) -> np.ndarray:
     return row + 0.0  # turns -0.0 into 0.0
 
 
-def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult:
+def reduce(sys: PHSystem) -> ZeroDynamicsResult:
     """Construct the zero dynamics of a well-posed uniform-speed system.
 
+    Both rank decisions, well-posedness and the invertibility of
+    ``[K0; Ky]``, are taken at :data:`phzero.linalg.DEFAULT_TOL`.
     If the stacked matrix ``[K0; Ky]`` is invertible the zero dynamics
     live on the full state space and no reduction runs.  Otherwise, for
     any number of inputs, the ordered QZ of :func:`_deflate` gives ``V``
@@ -264,11 +270,11 @@ def reduce(sys: PHSystem, tol: float = linalg.DEFAULT_TOL) -> ZeroDynamicsResult
     Raises :class:`ReductionError` when the pencil is singular, i.e. the
     transfer matrix is singular at every ``s``.
     """
-    if not analysis.check_well_posed(sys, tol):
+    if not analysis.check_well_posed(sys):
         raise IllPosedError("boundary matrix [K0; Ku] is singular")
     n = sys.n
     e, f = output_nulling_stacks(sys)
-    if linalg.rank(e, tol) == n:
+    if linalg.rank(e) == n:
         return ZeroDynamicsResult(
             k=n,
             Kw=-e,

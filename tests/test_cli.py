@@ -1,11 +1,14 @@
+import argparse
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phzero
 from phzero import discrete_reduce, load_result, load_system
-from phzero.cli import main
+from phzero.cli import build_parser, main
 from phzero.model import dumps, system_doc
 
 from conftest import CORPUS_DIR
@@ -23,6 +26,7 @@ def run(capsys, *argv):
 
 def test_corpus_is_complete():
     assert CORPUS_FILES == [
+        "colocated_string.json",
         "ring_three_channel.json",
         "sparse_ten_channel.json",
         "split_three_channel.json",
@@ -170,6 +174,22 @@ def test_analyze_ill_posed_exit_code(capsys, tmp_path, split_sys):
     code, out, _ = run(capsys, "analyze", str(bad))
     assert code == 3
     assert "well_posed: false" in out
+
+
+@pytest.mark.parametrize("command", ["vstar", "zeros"])
+def test_vstar_and_zeros_refuse_an_ill_posed_document(capsys, tmp_path, split_sys, command):
+    # with [K0; Ku] singular the system has no dynamics, so there is no
+    # subspace or zero to report: the same one-line refusal as zerodyn
+    doc = system_doc(split_sys)
+    doc["Ku"] = doc["K0"][0:1]
+    doc["Lu"] = doc["L0"][0:1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(doc))
+    for argv in ([command, str(bad)], [command, str(bad), "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: boundary matrix [K0; Ku] is singular\n"
 
 
 def test_validate_parse_error_exit_code(capsys, tmp_path):
@@ -417,50 +437,74 @@ def test_simulate_zeroing_outside_nulling_set_exit_code(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])
-def test_nonpositive_tol_is_a_usage_error(capsys, monkeypatch, tol):
+ALL_COMMANDS = ["validate", "split", "analyze", "zerodyn", "vstar", "zeros", "simulate"]
+
+#: Every argument of every subcommand, ``-h`` aside.  A new flag is added
+#: here on purpose, together with the command that reads it.
+OPTIONS = {
+    "validate": ["file", "--json"],
+    "split": ["file", "--json", "-o/--output"],
+    "analyze": ["file", "--json"],
+    "zerodyn": ["file", "--json", "-o/--output"],
+    "vstar": ["file", "--json"],
+    "zeros": ["file", "--json"],
+    "simulate": ["file", "--json", "--initial", "--steps", "--mode", "--format",
+                 "-o/--output"],
+}
+
+
+def _argv(command, *extra):
     path = str(CORPUS_DIR / "split_three_channel.json")
-    code, _, err = run(capsys, "analyze", path, "--tol", tol)
-    assert code == 1
-    assert err.startswith("usage error: ") and "tol must be positive" in err
-    monkeypatch.setenv("PHZERO_TOL", tol)
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 1
-    assert err.startswith("usage error: ") and "tol must be positive" in err
+    initial = ["--initial", "z0.json"] if command == "simulate" else []
+    return [command, path, *initial, *extra]
 
 
-@pytest.mark.parametrize("command", ["validate", "split", "zeros"])
+def test_option_inventory_is_pinned():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {
+        command: ["/".join(action.option_strings) or action.dest
+                  for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction)]
+        for command, parser in sub.choices.items()
+    }
+    assert options == OPTIONS
+
+
+def test_no_src_module_reads_the_environment():
+    src = Path(phzero.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names.add(getattr(node, "attr", None) or getattr(node, "id", None)
+                      or getattr(node, "name", None))
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])
+def test_nonpositive_tol_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, *_argv("analyze", "--tol", tol))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: --tol {tol}\n"
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_tol_is_a_usage_error_where_nothing_reads_it(capsys, command):
-    code, out, err = run(capsys, command, str(CORPUS_DIR / "split_three_channel.json"),
-                         "--tol", "1e-3")
+    code, out, err = run(capsys, *_argv(command, "--tol", "1e-3"))
     assert code == 1
     assert out == ""
     assert err == "usage error: unrecognized arguments: --tol 1e-3\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "split", "zeros"])
-def test_tol_env_is_not_read_where_nothing_uses_it(capsys, monkeypatch, command):
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_tol_env_is_not_read_where_nothing_uses_it(capsys, monkeypatch, tmp_path, command):
+    profile = tmp_path / "z0.json"
+    profile.write_text(json.dumps({"z0": np.zeros((3, 4)).tolist()}))
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PHZERO_TOL", "abc")
-    code, _, err = run(capsys, command, str(CORPUS_DIR / "split_three_channel.json"))
+    code, _, err = run(capsys, *_argv(command))
     assert code == 0, err
-
-
-@pytest.mark.parametrize("command", ["analyze", "zerodyn", "vstar", "simulate"])
-def test_tol_is_accepted_where_it_is_read(command):
-    import phzero.cli as cli
-
-    extra = ["--initial", "z0.json"] if command == "simulate" else []
-    args = cli.build_parser().parse_args([command, "x.json", "--tol", "1e-6"] + extra)
-    assert args.tol == 1e-6
-
-
-def test_tol_env_override(capsys, monkeypatch):
-    import phzero.cli as cli
-
-    monkeypatch.setenv("PHZERO_TOL", "1e-6")
-    parser = cli.build_parser()
-    args = parser.parse_args(["analyze", "x.json"])
-    assert args.tol == 1e-6
 
 
 def test_seed_flag_is_gone(capsys):
@@ -584,9 +628,6 @@ def test_simulate_nonfinite_trajectory_exits_4(capsys, tmp_path, fmt, to_file):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--steps", "abc", "expected a non-negative integer, got 'abc'"),
-    ("--grid", "-3", "expected a positive integer, got '-3'"),
-    ("--grid", "0", "expected a positive integer, got '0'"),
-    ("--grid", "2.5", "expected a positive integer, got '2.5'"),
 ])
 def test_simulate_bad_flag_values_are_plain_usage_errors(capsys, tmp_path, flag, value, message):
     profile = tmp_path / "profile.json"
@@ -596,3 +637,15 @@ def test_simulate_bad_flag_values_are_plain_usage_errors(capsys, tmp_path, flag,
     assert code == 1
     assert out == ""
     assert err == f"usage error: argument {flag}: {message}\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--grid", "4"), ("--feedback", "friend")])
+def test_removed_simulate_flags_are_usage_errors(capsys, tmp_path, flag, value):
+    # z0 fixes the cell count, and friend feedback is a library route only
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"z0": np.zeros((3, 4)).tolist()}))
+    code, out, err = run(capsys, "simulate", str(CORPUS_DIR / "split_three_channel.json"),
+                         "--initial", str(profile), flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: {flag} {value}\n"

@@ -3,7 +3,7 @@
 The commands run in-process through :func:`phzero.cli.main` under
 :func:`sys.setprofile`: every corpus document through each report
 command, in text and ``--json``; the ``-o`` writers; ``simulate`` in
-both modes, both formats and both feedbacks, to stdout and to a file;
+both modes and both formats, to stdout and to a file;
 the singular-pencil document of ``test_cli.py``; and an ill-posed
 document, a malformed one, a usage error and a diverging run.  The
 functions no call reaches must be exactly :data:`ALLOWED_UNREACHED`,
@@ -31,6 +31,7 @@ from test_cli import SILENT_DOC
 SRC_DIR = Path(phzero.__file__).resolve().parent
 
 _ITEM_12 = "port-Hamiltonian documents have no loader or command yet (ROADMAP item 12)"
+_FRIEND = 'perfbench `ring-network` runs `simulate_zeroing(mode="friend")` (ROADMAP items 4, 7)'
 
 ALLOWED_UNREACHED = {
     "analysis.is_transmission_zero":
@@ -38,6 +39,8 @@ ALLOWED_UNREACHED = {
         "ROADMAP item 2 decides its fate",
     "sim.Trajectory.rows": "perfbench's traced replay calls it (ROADMAP item 4)",
     "sim.Trajectory.to_doc": "perfbench's traced replay calls it (ROADMAP item 4)",
+    "zerodyn.nulling_friend": _FRIEND,
+    "analysis.DiscreteSystem.n": _FRIEND,
     "model.load_result":
         "the library reader of the document that `zerodyn -o` writes (README, Library)",
     "canonicalize.diagonalize_constant": _ITEM_12,
@@ -103,8 +106,6 @@ def command_runs(tmp: Path):
             argv = ["simulate", split_doc, "--initial", profile, "--steps", "3",
                     "--mode", mode, "--format", fmt]
             runs += [(argv, 0), (argv + ["-o", str(tmp / f"trajectory-{mode}.{fmt}")], 0)]
-    runs.append((["simulate", split_doc, "--initial", profiles["zeroing"], "--steps", "3",
-                  "--mode", "zeroing", "--feedback", "friend"], 0))
 
     silent = _write(tmp / "silent.json", SILENT_DOC)
     for command, code in (("zerodyn", 3), ("vstar", 0), ("zeros", 0)):
@@ -113,7 +114,8 @@ def command_runs(tmp: Path):
     ill = phzero.model.system_doc(split)
     ill["Ku"], ill["Lu"] = ill["K0"][:1], ill["L0"][:1]
     ill = _write(tmp / "ill.json", ill)
-    runs += [([command, ill], 3) for command in ("validate", "analyze", "zerodyn")]
+    runs += [([command, ill], 3)
+             for command in ("validate", "analyze", "zerodyn", "vstar", "zeros")]
     broken = tmp / "broken.json"
     broken.write_text('{"n": 3,', encoding="utf-8")
     runs += [(["validate", str(broken)], 2), (["frobnicate"], 1)]

@@ -11,17 +11,22 @@ from phzero import (
     Subspace,
     discrete_reduce,
     is_transmission_zero,
+    load_system,
     nulling_friend,
     output_nulling_stacks,
+    reflect_positive,
     scan_zeros,
     simulate_zeroing,
+    split_commensurate,
     vstar_discrete,
 )
 from phzero.analysis import DiscreteSystem, pencil_roots
+from phzero.canonicalize import diagonalize_constant
+from phzero.model import RawConstantSystem
 from phzero.zerodyn import _deflate, _vstar_iteration
 from phzero.zerodyn import reduce as zd_reduce
 
-from conftest import criterion_6_ensemble
+from conftest import CORPUS_DIR, criterion_6_ensemble
 from ensembles import random_siso_system, random_square_system
 from oracles import cross_check, preimage, same_as, subspace_intersect, vstar_from_quadruple
 
@@ -196,6 +201,30 @@ def test_reduce_full_state_path(rng):
         e = discrete_reduce(sysr).Dd
         sv = np.linalg.svd(e, compute_uv=False)
         assert sv[-1] > 1e-8 * max(sv[0], 1e-300)
+
+
+def test_reduce_colocated_string_corpus():
+    """The corpus string with colocated force input and velocity output
+    is the full-state case: ``Dd = 1``, ``Kw = -E``, ``Lw = F``, and its
+    zeros ``w = -1, 1`` put every s in ``i pi Z``."""
+    doc = load_system(CORPUS_DIR / "colocated_string.json")
+    raw = RawConstantSystem(P1=[[0, 1], [1, 0]], H=np.eye(2),
+                            WB1=[[0, 0, 1, 0]], WB2=[[0, 1, 0, 0]], WC=[[1, 0, 0, 0]])
+    derived = diagonalize_constant(raw)[1]
+    assert derived.speeds == doc.speeds
+    for name in ("K", "L", "Ky", "Ly"):
+        assert_allclose(np.sqrt(2) * getattr(derived, name), getattr(doc, name), atol=1e-12)
+
+    sysx = split_commensurate(reflect_positive(doc))
+    assert np.array_equal(discrete_reduce(sysx).Dd, [[1.0]])
+    res = zd_reduce(sysx)
+    e, f = output_nulling_stacks(sysx)
+    assert res.full_state and res.k == 2
+    assert np.array_equal(res.Kw, -e) and np.array_equal(res.Lw, f)
+    scan = scan_zeros(sysx)
+    assert not scan.identically_zero
+    assert_allclose(sorted(w.real for w in scan.w_roots), [-1.0, 1.0], rtol=0, atol=1e-12)
+    assert_allclose([w.imag for w in scan.w_roots], [0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_reduce_identity_and_accounting(rng):
