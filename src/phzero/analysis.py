@@ -16,7 +16,6 @@ stacked zero pencil are polynomial.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import ConsistencyError, IllPosedError, SingularMatrixError
@@ -167,6 +166,8 @@ def pencil_roots(kmat: np.ndarray, lmat: np.ndarray):
     verdict on the same pairs: the pencil's normal rank is deficient and
     every ``w`` is a root; the root list is then empty.
     """
+    import scipy.linalg
+
     if kmat.shape[0] == 0:
         return (), False
     alpha, beta = scipy.linalg.eig(kmat, -lmat, right=False, homogeneous_eigvals=True)
@@ -192,5 +193,5 @@ def scan_zeros(sys: PHSystem) -> TransmissionZeros:
     e, f = output_nulling_stacks(sys)
     roots, vanishes = pencil_roots(-e, f)
     period = 2.0 * np.pi / sys.p
-    s_values = tuple(-np.log(z) / sys.p for z in roots)
+    s_values = tuple(-np.log(z) / sys.p + 0j for z in roots)  # + 0j turns -0.0 into 0.0
     return TransmissionZeros(roots, s_values, vanishes, period)

@@ -8,7 +8,6 @@ by lowest index so repeated runs are bit-identical.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: Default relative threshold for rank decisions.  The systems this package
 #: targets have small-integer boundary matrices, so rank gaps are far from
@@ -54,21 +53,21 @@ def is_invertible(a, cond_limit: float = COND_LIMIT) -> bool:
 
 
 def rank(mat, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank via column-pivoted QR.
-
-    Diagonal magnitudes of R below ``tol`` times the largest diagonal
-    magnitude count as zero.
-    """
+    """Numerical rank from the singular values, by :func:`svd_rank`."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = as_matrix(mat)
     if a.size == 0:
         return 0
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    d = np.abs(np.diag(r))
-    if d.size == 0 or d.max() == 0.0:
+    return svd_rank(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def svd_rank(s, tol: float = DEFAULT_TOL) -> int:
+    """Number of the singular values ``s`` (descending) above ``tol``
+    times the largest; 0 when all vanish."""
+    if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(d > tol * d.max()))
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 @dataclass(frozen=True)

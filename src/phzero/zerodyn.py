@@ -3,11 +3,14 @@ constructive boundary-matrix reduction.
 
 On a trajectory with zero output the traces obey ``E z(0,t) = F z(1,t)``
 with the stacks ``E = -[K0; Ky]`` and ``F = [L0; Ly]``, both n-by-n for
-any number of inputs.  When the pencil ``F - lambda E`` is regular, one
-ordered QZ decomposition (:func:`_deflate`; Emami-Naeini & Van Dooren,
-Automatica 1982) gives everything in O(n^3): the right deflating
+any number of inputs.  When the pencil ``F - lambda E`` is regular,
+:func:`_deflate` gives everything in O(n^3): the right deflating
 subspace ``V`` of its finite eigenvalues and the matrix ``M`` with
-``E V M = F V``.
+``E V M = F V``.  A pencil of index one (every infinite eigenvalue
+semisimple) takes one staircase step in numpy, an SVD of ``E`` and one
+of the compressed ``F`` (Van Dooren, LAA 1979); every other pencil takes
+the ordered QZ of :func:`_qz_deflate` (Emami-Naeini & Van Dooren,
+Automatica 1982), which imports scipy.
 
 * :func:`vstar_discrete` returns ``V``, the largest subspace with
   ``F V ⊆ E V``; singular pencils fall back to the subspace iteration
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis, linalg
 from .analysis import output_nulling_stacks
@@ -35,28 +37,39 @@ from .model import PHSystem
 FRIEND_TOL = 1e-10
 
 #: Bound on the deflation residual ``|E V M - F V|`` relative to
-#: ``|E| |M| + |F|`` (Frobenius norms).  QZ is backward stable, so the
-#: residual sits at a small multiple of the unit roundoff.
+#: ``|E| |M| + |F|`` (Frobenius norms).  Both routes of :func:`_deflate`
+#: are backward stable, so the residual sits at a small multiple of the
+#: unit roundoff.
 DEFLATION_TOL = 1e-9
 
 
 class _SingularPencil(Exception):
-    """Stops :func:`_deflate` at a singular pencil, before the reordering."""
+    """Stops :func:`_qz_deflate` at a singular pencil, before the reordering."""
 
 
-def _deflate(e, f):
-    """Ordered QZ of the square pencil ``F - lambda E``, finite
-    eigenvalues first.
+def _deflate(e, f, svd=None):
+    """Deflate the infinite eigenvalues of the square pencil ``F - lambda E``.
 
     Returns ``(z, k, m, residual)``: ``z`` is orthogonal and its first
     ``k`` columns ``V`` span the right deflating subspace of the ``k``
-    finite eigenvalues; ``m = inv(BB11) AA11`` from the leading Schur
-    blocks solves ``E V m = F V``; ``residual`` is ``|E V m - F V|``
-    (Frobenius).  Returns ``None`` when the pencil is not square or is
-    singular, judged on the pairs of the unordered QZ by
-    :func:`analysis.singular_pencil` (the verdict of
-    :func:`analysis.pencil_roots`).  Raises :class:`ConsistencyError` when
-    the reordering fails or the residual exceeds :data:`DEFLATION_TOL`.
+    finite eigenvalues; ``m`` solves ``E V m = F V``; ``residual`` is
+    ``|E V m - F V|`` (Frobenius), checked against :data:`DEFLATION_TOL`.
+    Returns ``None`` when the pencil is not square or is singular.
+
+    One staircase step first (Van Dooren, LAA 1979): with ``E = U S W^T``
+    of rank ``r`` (:func:`linalg.svd_rank`) and ``U0 = U[:, r:]``,
+    ``W0 = W[:, r:]``, the pencil has index at most one when the block
+    ``U0^T F W0`` is nonsingular, its smallest singular value above
+    :data:`phzero.linalg.DEFAULT_TOL` times ``|F|_2``.  That also proves
+    the pencil regular, so a singular one never takes the step.  Then
+    ``V`` is the null space of ``U0^T F`` (``k = r``), the trailing
+    columns of ``z`` span the row space of ``U0^T F`` in the order of its
+    singular values, and ``m`` solves ``B1 m = A1`` with
+    ``B1 = (U^T E)[:r] V`` and ``A1 = (U^T F)[:r] V``.  Every other
+    pencil, and one whose ``B1`` is not invertible at
+    :data:`phzero.linalg.COND_LIMIT`, goes to the ordered QZ of
+    :func:`_qz_deflate`.  ``svd`` is ``np.linalg.svd(e)`` when the caller
+    already has it.
     """
     e = linalg.as_matrix(e)
     f = linalg.as_matrix(f)
@@ -65,6 +78,46 @@ def _deflate(e, f):
     n = e.shape[1]
     if e.shape[0] != n or n == 0:
         return None
+    u, s, wh = np.linalg.svd(e) if svd is None else svd
+    r = linalg.svd_rank(s)
+    qh = np.eye(n)
+    if r < n:
+        f0 = u[:, r:].T @ f
+        # an absolute scale: a scale-free test passes a 1x1 block of any size
+        block = np.linalg.svd(f0 @ wh[r:].T, compute_uv=False)
+        if block[-1] <= linalg.DEFAULT_TOL * linalg.two_norm(f):
+            return _qz_deflate(e, f)
+        qh = np.linalg.svd(f0)[2]
+    v = qh[n - r :].T
+    b1 = s[:r, None] * (wh[:r] @ v)  # (U^T E)[:r] V
+    if not linalg.is_invertible(b1):
+        return _qz_deflate(e, f)
+    m = np.linalg.solve(b1, (u[:, :r].T @ f) @ v)
+    z = np.hstack([v, qh[: n - r][::-1].T])
+    return z, r, m, _checked_residual(e, f, v, m)
+
+
+def _checked_residual(e, f, v, m) -> float:
+    residual = float(np.linalg.norm(e @ v @ m - f @ v))
+    if residual > DEFLATION_TOL * (np.linalg.norm(e) * np.linalg.norm(m) + np.linalg.norm(f)):
+        raise ConsistencyError(f"deflation residual |E V M - F V| = {residual:.3e}")
+    return residual
+
+
+def _qz_deflate(e, f):
+    """Ordered QZ of the square pencil ``F - lambda E``, finite
+    eigenvalues first (Emami-Naeini & Van Dooren, Automatica 1982): the
+    route of :func:`_deflate` for pencils of index two or more and for
+    singular ones.
+
+    Same return as :func:`_deflate`, with ``m = inv(BB11) AA11`` from the
+    leading Schur blocks.  Returns ``None`` when the pencil is singular,
+    judged on the pairs of the unordered QZ by
+    :func:`analysis.singular_pencil` (the verdict of
+    :func:`analysis.pencil_roots`).  Raises :class:`ConsistencyError` when
+    the reordering fails or the residual exceeds :data:`DEFLATION_TOL`.
+    """
+    import scipy.linalg
 
     def finite_first(alpha, beta):
         # ordqz passes the pairs of the unordered QZ; reordering a singular
@@ -85,10 +138,7 @@ def _deflate(e, f):
         raise ConsistencyError("ordered QZ left a finite eigenvalue behind an infinite one")
     v = z[:, :k]
     m = scipy.linalg.solve_triangular(bb[:k, :k], aa[:k, :k])
-    residual = float(np.linalg.norm(e @ v @ m - f @ v))
-    if residual > DEFLATION_TOL * (np.linalg.norm(e) * np.linalg.norm(m) + np.linalg.norm(f)):
-        raise ConsistencyError(f"deflation residual |E V M - F V| = {residual:.3e}")
-    return z, k, m, residual
+    return z, k, m, _checked_residual(e, f, v, m)
 
 
 def vstar_discrete(e, f) -> Subspace:
@@ -188,8 +238,8 @@ class ZeroDynamicsResult:
     :attr:`reduced_state_map` (``()`` on the full state space, ``(V^T,)``
     otherwise), and ``u = Ku_tilde w(0,t) + Lu_tilde w(1,t)`` reproduces
     the output-zeroing input.
-    ``deflation_residual`` is ``|E V M - F V|`` of the QZ deflation
-    behind the reduction (0 on the full state space).
+    ``deflation_residual`` is ``|E V M - F V|`` of the deflation behind
+    the reduction (0 on the full state space).
     """
 
     k: int
@@ -261,11 +311,11 @@ def reduce(sys: PHSystem) -> ZeroDynamicsResult:
     ``[K0; Ky]``, are taken at :data:`phzero.linalg.DEFAULT_TOL`.
     If the stacked matrix ``[K0; Ky]`` is invertible the zero dynamics
     live on the full state space and no reduction runs.  Otherwise, for
-    any number of inputs, the ordered QZ of :func:`_deflate` gives ``V``
-    (the first ``k`` columns of ``Z``) and ``E V M = F V``, so on
-    ``w = V^T z`` the zero dynamics are ``Kw = I``, ``Lw = -M``.  The
-    constraint rows are the trailing columns of ``Z``, last first, and
-    the transform chain is ``(V^T,)``.
+    any number of inputs, :func:`_deflate`, given the SVD of ``E`` that
+    decided the rank, returns ``Z`` with ``V`` its first ``k`` columns
+    and ``E V M = F V``, so on ``w = V^T z`` the zero dynamics are
+    ``Kw = I``, ``Lw = -M``.  The constraint rows are the trailing
+    columns of ``Z``, last first, and the transform chain is ``(V^T,)``.
 
     Raises :class:`ReductionError` when the pencil is singular, i.e. the
     transfer matrix is singular at every ``s``.
@@ -274,7 +324,8 @@ def reduce(sys: PHSystem) -> ZeroDynamicsResult:
         raise IllPosedError("boundary matrix [K0; Ku] is singular")
     n = sys.n
     e, f = output_nulling_stacks(sys)
-    if linalg.rank(e) == n:
+    svd = np.linalg.svd(e)
+    if linalg.svd_rank(svd[1]) == n:
         return ZeroDynamicsResult(
             k=n,
             Kw=-e,
@@ -286,7 +337,7 @@ def reduce(sys: PHSystem) -> ZeroDynamicsResult:
             Lu_tilde=sys.Lu.copy(),
             full_state=True,
         )
-    deflation = _deflate(e, f)
+    deflation = _deflate(e, f, svd)
     if deflation is None:
         raise ReductionError(
             "the stacked zero pencil [K0; Ky] + [L0; Ly] w is singular: the "

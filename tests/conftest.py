@@ -1,16 +1,22 @@
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phzero import MultiSpeedSystem, PHSystem, RationalSpeed
+from phzero import (
+    MultiSpeedSystem,
+    PHSystem,
+    RationalSpeed,
+    load_system,
+    reflect_positive,
+    split_commensurate,
+)
 
 from ensembles import random_siso_system
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
-GLOBAL_SEED = int(os.environ.get("PHZERO_SEED", 20240901))
+GLOBAL_SEED = 20240901
 
 
 def build_two_speed() -> MultiSpeedSystem:
@@ -55,6 +61,15 @@ def build_sparse_ten() -> PHSystem:
     ly[0, 3] = -2.0
     return PHSystem(p=1.0, K0=k0, L0=np.zeros((9, 10)), Ku=ku,
                     Lu=np.zeros((1, 10)), Ky=np.zeros((1, 10)), Ly=ly)
+
+
+def corpus_systems():
+    """``(stem, system)`` for each corpus document, multirate ones split."""
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        system = load_system(path)
+        if isinstance(system, MultiSpeedSystem):
+            system = split_commensurate(reflect_positive(system))
+        yield path.stem, system
 
 
 def criterion_6_ensemble():

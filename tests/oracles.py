@@ -10,7 +10,8 @@ built on the subspace lattice :func:`nullspace`, :func:`preimage` and
 boundary-pencil solve and :func:`transfer_eval_resolvent` through the
 quadruple's resolvent; the two routes check each other.  :func:`same_as`
 tests two subspaces for mutual containment.  :func:`exact_root_count`
-counts the transmission zeros of a system in exact rational arithmetic.
+counts the transmission zeros of a system in exact rational arithmetic
+and :func:`exact_order` the order of its zero dynamics.
 
 :func:`lu_decompose` (a row-pivoted triangular factorization) and
 :func:`schur_block_inverse` (the left blocks of a 2x2-partitioned
@@ -205,24 +206,42 @@ def _newton_coefficients(values) -> list:
     return coeffs
 
 
-def exact_root_count(sys: PHSystem) -> int | None:
-    """Exact number of finite, nonzero transmission zeros in ``w``.
-
-    Every float entry is an exact rational, so ``p(w) = det([K0; Ky] +
-    w [L0; Ly])`` is decided exactly: evaluated at ``w = 0..n`` by
-    Fraction elimination and interpolated in Newton form.  Returns
-    ``None`` when ``p`` vanishes identically (the transfer matrix is
-    singular at every ``s``), otherwise ``deg p`` minus the order of
-    ``p`` at 0, the count :func:`phzero.scan_zeros` lists.
-    """
+def _exact_zero_pencil_powers(sys: PHSystem) -> list:
+    """Powers of ``w`` with a nonzero coefficient in ``p(w) = det([K0; Ky]
+    + w [L0; Ly])``, ascending, decided exactly: every float entry is a
+    rational, so ``p`` is evaluated at ``w = 0..n`` by Fraction
+    elimination and interpolated in Newton form."""
     a = [[Fraction(float(x)) for x in row] for row in np.vstack([sys.K0, sys.Ky])]
     b = [[Fraction(float(x)) for x in row] for row in np.vstack([sys.L0, sys.Ly])]
     values = [_exact_det([[x + w * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
               for w in range(sys.n + 1)]
-    nonzero = [i for i, c in enumerate(_newton_coefficients(values)) if c]
+    return [i for i, c in enumerate(_newton_coefficients(values)) if c]
+
+
+def exact_root_count(sys: PHSystem) -> int | None:
+    """Exact number of finite, nonzero transmission zeros in ``w``.
+
+    Returns ``None`` when ``p(w) = det([K0; Ky] + w [L0; Ly])`` vanishes
+    identically (the transfer matrix is singular at every ``s``),
+    otherwise ``deg p`` minus the order of ``p`` at 0, the count
+    :func:`phzero.scan_zeros` lists.
+    """
+    nonzero = _exact_zero_pencil_powers(sys)
     if not nonzero:
         return None
     return nonzero[-1] - nonzero[0]
+
+
+def exact_order(sys: PHSystem) -> int | None:
+    """Exact order of the zero dynamics: the number of finite eigenvalues
+    of ``F - lambda E`` (``E = -[K0; Ky]``, ``F = [L0; Ly]``), i.e.
+    ``deg det(F - lambda E)``, which is ``n`` minus the order at 0 of
+    ``p(w) = det([K0; Ky] + w [L0; Ly])``.  ``None`` when ``p`` vanishes
+    identically, where :func:`phzero.reduce` must refuse the system."""
+    nonzero = _exact_zero_pencil_powers(sys)
+    if not nonzero:
+        return None
+    return sys.n - nonzero[0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import argparse
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +101,15 @@ def test_analyze_discretizes_once(capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["zerodyn", "vstar"])
 def test_failed_qz_reordering_is_internal_error(capsys, monkeypatch, command):
     """``ordqz`` raises ValueError when LAPACK cannot reorder the pencil;
-    the commands print one line and exit 4."""
+    the commands print one line and exit 4.  The ring's zero pencil has
+    index two, so the staircase step leaves it to the QZ."""
     import scipy.linalg
 
     def ordqz(*args, **kwargs):
         raise ValueError("Reordering of (A, B) failed")
 
     monkeypatch.setattr(scipy.linalg, "ordqz", ordqz)
-    code, out, err = run(capsys, command, str(CORPUS_DIR / "split_three_channel.json"), "--json")
+    code, out, err = run(capsys, command, str(CORPUS_DIR / "ring_three_channel.json"), "--json")
     assert code == 4
     assert out == ""
     assert err.splitlines() == [
@@ -314,6 +317,16 @@ def test_zeros_split_values(capsys):
     assert np.allclose(roots, [(-1 - np.sqrt(5)) / 2, (-1 + np.sqrt(5)) / 2], atol=1e-9)
 
 
+def test_zeros_reports_have_no_negative_zero(capsys):
+    """``-log(w) / p`` gives ``-0.0`` parts at real ``w``; the reports
+    write ``0.0``."""
+    for name in CORPUS_FILES:
+        code, out, _ = run(capsys, "zeros", str(CORPUS_DIR / name), "--json")
+        assert code == 0
+        parts = np.array(json.loads(out)["findings"]["s_values"]).ravel()
+        assert not np.signbit(parts[parts == 0.0]).any(), name
+
+
 def test_zeros_large_random_system(capsys, tmp_path):
     from ensembles import random_siso_system
     from phzero.model import save_system
@@ -472,13 +485,48 @@ def test_option_inventory_is_pinned():
 
 
 def test_no_src_module_reads_the_environment():
+    """Nor does the test data: ``conftest.py`` seeds the ensembles with a
+    constant."""
     src = Path(phzero.__file__).resolve().parent
-    for path in sorted(src.glob("*.py")):
+    for path in [*sorted(src.glob("*.py")), Path(__file__).resolve().parent / "conftest.py"]:
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names.add(getattr(node, "attr", None) or getattr(node, "id", None)
                       or getattr(node, "name", None))
         assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+
+
+def _loads_scipy(cwd, *argv):
+    """Runs ``phzero`` with ``argv`` in a fresh interpreter (only
+    ``import phzero.cli`` when ``argv`` is empty) and tells whether
+    ``scipy`` was imported."""
+    src = str(Path(phzero.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              f"sys.path.insert(0, {src!r})\n"
+              "import phzero.cli\n"
+              "code = phzero.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    code, loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+def test_scipy_loads_only_for_zeros_and_the_qz(tmp_path):
+    """The staircase step reduces the index-one network in numpy; scipy
+    serves ``zeros`` and pencils that need the ordered QZ, like the
+    ring's."""
+    network = str(CORPUS_DIR / "two_speed_network.json")
+    profile = tmp_path / "z0.json"
+    profile.write_text(json.dumps({"z0": np.zeros((3, 4)).tolist()}))
+    assert not _loads_scipy(tmp_path)
+    for command in ("validate", "split", "analyze", "zerodyn", "vstar"):
+        assert not _loads_scipy(tmp_path, command, network, "--json"), command
+    assert not _loads_scipy(tmp_path, "simulate", network, "--initial", str(profile),
+                            "--mode", "zeroing")
+    assert _loads_scipy(tmp_path, "zeros", network, "--json")
+    assert _loads_scipy(tmp_path, "zerodyn", str(CORPUS_DIR / "ring_three_channel.json"), "--json")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])

@@ -1,22 +1,25 @@
-"""Transmission-zero counts against exact rational arithmetic.
+"""Transmission-zero counts and zero-dynamics orders against exact
+rational arithmetic.
 
 :func:`oracles.exact_root_count` decides the identically-zero verdict
 and the number of finite, nonzero w-roots of a document exactly, since
-every float is a rational.  :func:`phzero.scan_zeros` must agree on
-documents whose exact problem is the intended one: the corpus, the
-criterion-6 members that plant no relation in rounded floats, and
-integer series chains.  The cases it gets wrong at this tree list
-spurious roots near w = 0 and are strict xfails.
+every float is a rational, and :func:`oracles.exact_order` the order of
+its zero dynamics.  :func:`phzero.scan_zeros` and :func:`phzero.reduce`
+must agree on documents whose exact problem is the intended one: the
+corpus, the criterion-6 members that plant no relation in rounded
+floats, and integer series chains.  The cases they get wrong at this
+tree are strict xfails: spurious roots near w = 0, and infinite
+eigenvalues counted as finite.
 """
 
 import numpy as np
 import pytest
 
-from phzero import MultiSpeedSystem, load_system, reflect_positive, scan_zeros, split_commensurate
+from phzero import ReductionError, output_nulling_stacks, reduce, scan_zeros, vstar_discrete
 
-from conftest import CORPUS_DIR, criterion_6_ensemble
+from conftest import corpus_systems, criterion_6_ensemble
 from ensembles import random_siso_system, series_chain
-from oracles import exact_root_count
+from oracles import exact_order, exact_root_count
 
 SPURIOUS = pytest.mark.xfail(strict=True, reason="spurious roots at w≈0 (ROADMAP items 1/3)")
 
@@ -34,11 +37,7 @@ def chain_parts(seed: int):
 
 
 def exact_cases():
-    for path in sorted(CORPUS_DIR.glob("*.json")):
-        system = load_system(path)
-        if isinstance(system, MultiSpeedSystem):
-            system = split_commensurate(reflect_positive(system))
-        yield path.stem, system
+    yield from corpus_systems()
     for i, system in enumerate(criterion_6_ensemble()):
         # the odd dense members plant Ky = c K0 in floats, so rounding
         # changes their exact problem
@@ -68,3 +67,26 @@ def test_exact_count_of_a_chain_is_the_sum_of_its_parts():
         parts = [exact_root_count(part) for part in chain_parts(seed)]
         chain = exact_root_count(series_chain(chain_parts(seed)))
         assert chain == (None if None in parts else sum(parts)), f"seed {seed}"
+
+
+WRONG_ORDER = {"chain-24", "chain-35"}
+
+INFINITE_SPLIT = pytest.mark.xfail(
+    strict=True, reason="rounding splits a Jordan block of infinite eigenvalues past "
+                        "EIG_DROP_TOL, so the QZ counts two of them finite (ROADMAP item 3)")
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(system, id=name, marks=INFINITE_SPLIT if name in WRONG_ORDER else ())
+    for name, system in exact_cases()
+])
+def test_reduce_order_matches_exact_order(system):
+    """k and the V* dimension are ``deg det(F - lambda E)``, decided
+    exactly; a pencil whose determinant vanishes identically is refused."""
+    exact = exact_order(system)
+    if exact is None:
+        with pytest.raises(ReductionError):
+            reduce(system)
+        return
+    assert reduce(system).k == exact
+    assert vstar_discrete(*output_nulling_stacks(system)).dim == exact

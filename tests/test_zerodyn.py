@@ -23,10 +23,11 @@ from phzero import (
 from phzero.analysis import DiscreteSystem, pencil_roots
 from phzero.canonicalize import diagonalize_constant
 from phzero.model import RawConstantSystem
+from phzero import zerodyn
 from phzero.zerodyn import _deflate, _vstar_iteration
 from phzero.zerodyn import reduce as zd_reduce
 
-from conftest import CORPUS_DIR, criterion_6_ensemble
+from conftest import CORPUS_DIR, corpus_systems, criterion_6_ensemble
 from ensembles import random_siso_system, random_square_system
 from oracles import cross_check, preimage, same_as, subspace_intersect, vstar_from_quadruple
 
@@ -368,11 +369,85 @@ def test_deflation_agrees_with_iteration_and_zero_verdict():
     assert 150 <= regular < 200 and singular_mimo == 60
 
 
-def test_deflation_residual_is_checked(split_sys, monkeypatch):
+def _step_candidates():
+    """The corpus, the criterion-6 ensemble, 40 seeded square MIMO systems
+    (m = 1, 2) and n = 80 SISO systems built like perfbench's
+    ``siso-reduce`` (the output row inside the row space of ``K0``)."""
+    yield from corpus_systems()
+    for i, system in enumerate(criterion_6_ensemble()):
+        yield f"criterion-6-{i}", system
+    rng = np.random.default_rng(24)
+    for i in range(40):
+        yield f"mimo-{i}", random_square_system(rng, n=int(rng.integers(3, 9)), m=1 + i % 2,
+                                                singular_stack=i % 4 < 2)
+    rng = np.random.default_rng(80)
+    for i in range(8):
+        yield f"siso-80-{i}", random_siso_system(rng, n=80)
+
+
+def test_staircase_step_agrees_with_the_qz(monkeypatch):
+    """On every pencil the staircase step of ``_deflate`` accepts, the
+    ordered QZ gives the same k and V*, the same ``M`` up to the change of
+    basis ``T = V_qz^T V_step``, and the same zeroing input on the
+    original traces.  Eigenvalues of ``M`` are not compared: a defective
+    ``M`` moves them by far more than rounding."""
+    qz = zerodyn._qz_deflate
+    declined = []
+    monkeypatch.setattr(zerodyn, "_qz_deflate", lambda e, f: declined.append(1))
+    taken = 0
+    for name, sysr in _step_candidates():
+        e, f = output_nulling_stacks(sysr)
+        declined.clear()
+        step = _deflate(e, f)
+        if declined:
+            continue
+        taken += 1
+        z_step, k, m_step, _ = step
+        z_qz, k_qz, m_qz, _ = qz(e, f)
+        assert k == k_qz, name
+        v_step, v_qz = z_step[:, :k], z_qz[:, :k]
+        assert same_as(Subspace(v_step), Subspace(v_qz)), name
+        t = v_qz.T @ v_step
+        gap = np.linalg.norm(m_qz @ t - t @ m_step)
+        assert gap <= 1e-10 * max(1.0, np.linalg.norm(m_qz)), name
+        if k < sysr.n:
+            by_step = zd_reduce(sysr)
+            with monkeypatch.context() as mp:
+                mp.setattr(zerodyn, "_deflate", lambda e, f, svd: qz(e, f))
+                by_qz = zd_reduce(sysr)
+            for a, b in zip(by_step.input_functional_original(),
+                            by_qz.input_functional_original()):
+                assert np.abs(a - b).max() <= 1e-12, name
+    assert taken >= 200
+
+
+@pytest.mark.parametrize("e, f", [
+    # U0^T F W0 = 1e-13 |F|: index two at working precision.  Judged
+    # without the scale of F, the 1x1 block looks invertible and the step
+    # returns k = 1 with M = -1e13, which the residual check passes.
+    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1e-13]]),
+    # E has full rank, but B1 = E is conditioned 1e9
+    ([[1.0, 0.0], [0.0, 1e-9]], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["tiny-block", "ill-conditioned-b1"])
+def test_staircase_step_leaves_borderline_pencils_to_the_qz(e, f):
+    e, f = np.array(e), np.array(f)
+    z, k, m, _ = _deflate(e, f)
+    z_qz, k_qz, m_qz, _ = zerodyn._qz_deflate(e, f)
+    assert k == k_qz
+    assert np.array_equal(z, z_qz) and np.array_equal(m, m_qz)
+
+
+def test_deflation_residual_is_checked(split_sys, ring_sys, monkeypatch):
+    """On both routes: the ring's index-two pencil goes to the QZ, the
+    split system's index-one pencil is solved by the staircase step."""
     import scipy.linalg
 
     solve = scipy.linalg.solve_triangular
     monkeypatch.setattr(scipy.linalg, "solve_triangular", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(ConsistencyError, match="deflation residual"):
+        zd_reduce(ring_sys)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
     with pytest.raises(ConsistencyError, match="deflation residual"):
         zd_reduce(split_sys)
 
